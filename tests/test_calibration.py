@@ -248,3 +248,37 @@ def test_certificate_json_round_trip_fields():
     assert set(doc) == {"subject", "checks", "conclusion", "provenance"}
     assert all({"name", "pass", "residual", "tol"} == set(c) for c in doc["checks"])
     assert doc["provenance"]["complex_hash"] == K.content_hash()
+
+
+def _count_calls(monkeypatch, owners, name):
+    """Route every polycal binding of ``name`` through a call counter."""
+    import sys
+
+    original = getattr(owners[0], name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.startswith("polycal") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    for owner in owners:
+        if isinstance(owner, type):
+            monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_minimality_certificate_builds_each_piece_once(monkeypatch):
+    import polycal.chains
+    import polycal.varifolds
+    from polycal.complexes import EmbeddedComplex
+
+    K, V, gamma = generate_example("tetrahedral_cone", refinement=1)
+    chainify_calls = _count_calls(monkeypatch, [polycal.varifolds], "chainify")
+    boundary_calls = _count_calls(monkeypatch, [polycal.chains], "boundary")
+    hash_calls = _count_calls(monkeypatch, [EmbeddedComplex], "content_hash")
+    cert = minimality_certificate(V, gamma)
+    assert cert.passed
+    assert (len(chainify_calls), len(boundary_calls), len(hash_calls)) == (1, 1, 1)

@@ -113,6 +113,14 @@ def test_groupnorm_command(tmp_path, capsys):
     assert values == [-4.0, -3.0, -2.0, 0.0, 2.0, 3.0, 4.0]
 
 
+def test_groupnorm_large_generators_exits_zero(tmp_path, capsys):
+    gens = [2352515.2020535516, 5053054.299843582, 8166918.432585648]
+    gpath = write(tmp_path, "group.json", {"kind": "subgroup", "generators": gens})
+    code, payload = run_cli(capsys, "groupnorm", "--in", gpath, "--coords=-2,2,-3")
+    assert code == 0
+    assert payload["norm"] <= 2 * gens[0] + 2 * gens[1] + 3 * gens[2]
+
+
 def test_deform_command_and_reproducibility(tmp_path, capsys):
     code, bundle = run_cli(capsys, "demo", "y_line")
     bpath = write(tmp_path, "bundle.json", bundle)
@@ -190,3 +198,43 @@ def test_solver_config_file(tmp_path, capsys):
     )
     assert code == 1  # iteration cap reached
     assert result["status"] == "iteration-cap"
+
+
+TRIANGLE_VERTICES = [[0, 0], [1, 0], [0, 1]]
+SEGMENTS = [[0, 1], [0, 2]]
+
+
+@pytest.mark.parametrize(
+    "complex_doc, varifold_doc",
+    [
+        ({"vertices": TRIANGLE_VERTICES, "simplices": 5}, None),
+        ({"vertices": TRIANGLE_VERTICES, "simplices": [5]}, None),
+        ({"vertices": 5, "simplices": SEGMENTS}, None),
+        ({"vertices": TRIANGLE_VERTICES, "simplices": SEGMENTS, "gamma_faces": 1}, None),
+        ({"vertices": TRIANGLE_VERTICES, "simplices": SEGMENTS}, {"dimension": 1, "weights": 5}),
+        ({"vertices": TRIANGLE_VERTICES, "simplices": SEGMENTS}, {"dimension": 1, "weights": [5]}),
+        (
+            {"vertices": TRIANGLE_VERTICES, "simplices": SEGMENTS},
+            {"dimension": 1, "weights": [{"simplex": [0, 1], "c": [1.0]}]},
+        ),
+    ],
+)
+def test_malformed_document_is_exit_two(tmp_path, capsys, complex_doc, varifold_doc):
+    argv = ["stationarity", "--in", write(tmp_path, "complex.json", complex_doc)]
+    if varifold_doc is None:
+        argv[0] = "validate"
+    else:
+        argv += ["--in", write(tmp_path, "varifold.json", varifold_doc)]
+    assert main(argv) == 2
+    assert "polycal: error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_nonfinite_input_is_exit_two(tmp_path, capsys, bad):
+    cpath = write(tmp_path, "complex.json",
+                  {"vertices": [[0, 0], [1, bad], [0, 1]], "simplices": SEGMENTS})
+    assert main(["validate", "--in", cpath]) == 2
+    vpath = write(tmp_path, "varifold.json",
+                  {"dimension": 1, "weights": [{"simplex": [0, 1], "c": bad}]})
+    cpath = write(tmp_path, "complex.json", {"vertices": TRIANGLE_VERTICES, "simplices": SEGMENTS})
+    assert main(["stationarity", "--in", cpath, "--in", vpath]) == 2

@@ -5,6 +5,7 @@ import pytest
 
 from polycal.complexes import (
     BoundaryRegion,
+    EmbeddedComplex,
     build_complex,
     complex_from_json,
     interior_faces,
@@ -60,6 +61,14 @@ def test_build_rejects_bad_input():
         build_complex([[0, 0], [1, 0], [0, 1]], [(0, 1, 2), (2, 0, 1)])
     with pytest.raises(ValueError, match="repeats"):
         build_complex([[0, 0], [1, 0]], [(0, 0)])
+
+
+def test_nonfinite_vertices_rejected():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            build_complex([[0, 0], [1, bad], [0, 1]], [(0, 1)])
+        with pytest.raises(ValueError, match="finite"):
+            EmbeddedComplex([[0, 0], [bad, 0]], [[(0,), (1,)]])
 
 
 def test_ids_are_sorted_and_deterministic():

@@ -98,6 +98,16 @@ def test_generator_norms_are_reproduced():
         assert subgroup_norm(H, unit) == pytest.approx(G.norm(gens[i]), abs=1e-9)
 
 
+def test_norm_falls_back_to_stored_representation():
+    # Large generators: the search re-sums the value in another order, and the
+    # rounding exceeds the zero tolerance, so the stored coords must still count.
+    H = real_subgroup(2352515.2020535516, 5053054.299843582, 8166918.432585648)
+    g = H.element((-2, 2, -3))
+    got = H.norm(g)
+    assert math.isfinite(got)
+    assert got <= H.representation_cost(g.coords)
+
+
 def test_all_zero_generator_norms_rejected():
     with pytest.raises(ValueError, match="ill-posed"):
         real_subgroup(0.0, 0.0)

@@ -1,0 +1,60 @@
+"""The external layer trace in perfbench/ must keep resolving polycal names.
+
+``perfbench/layertrace.py`` wraps polycal functions by name at install time;
+a rename in the package would otherwise only show up as a crash of the
+benchmark's traced run.  This test loads that file unchanged.
+"""
+
+import importlib
+import importlib.util
+import json
+import os
+
+import polycal.cli
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+def _load_layertrace():
+    spec = importlib.util.spec_from_file_location(
+        "layertrace", os.path.join(PERFBENCH, "layertrace.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _resolve(module_name, attr):
+    owner = importlib.import_module(module_name)
+    for part in attr.split("."):
+        owner = getattr(owner, part)
+    return owner
+
+
+def test_trace_targets_resolve_and_record(tmp_path):
+    layertrace = _load_layertrace()
+    names = [(m, a) for m, a, *_ in layertrace.TARGETS]
+    names += [(m, a) for m, a, _ in layertrace.COUNTERS]
+    originals = {name: _resolve(*name) for name in names}
+    bundle = str(tmp_path / "bundle.json")
+    assert polycal.cli.main(["demo", "tetrahedral_cone", "--out", bundle]) == 0
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        for name in names:
+            assert _resolve(*name) is not originals[name], f"{name} was not wrapped"
+        tracer.begin_op()
+        out = str(tmp_path / "cert.json")
+        assert polycal.cli.main(["certify", "--in", bundle, "--out", out]) == 0
+        summary = tracer.op_summary(wall=1.0)
+    finally:
+        tracer.uninstall()
+    for name in names:
+        assert _resolve(*name) is originals[name], f"{name} was not restored"
+    with open(out) as handle:
+        assert json.load(handle)["conclusion"] == "calibrated-minimizer"
+    for span in ("cli.load", "cli.emit", "complexes.build", "complexes.geometry",
+                 "varifolds.stationarity", "chains.boundary", "calibration.minimality_certificate"):
+        assert span in summary["self"], span
+    assert summary["counts"]["complexes.geometry.blades"] > 0
+    assert summary["counts"]["chains.terms"] > 0
