@@ -2,14 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .exterior_algebra import (
-    Multivector,
-    OrientedSimplex,
-    inner,
-    simplex_volume,
-    unit_simple_vector,
-    wedge,
-)
+from .exterior_algebra import Multivector, inner, wedge
 from .complexes import (
     BoundaryRegion,
     EmbeddedComplex,
@@ -38,7 +31,6 @@ from .chains import (
     mass,
     pushforward_chain,
     retag_chain,
-    support,
     transport_chain,
 )
 from .varifolds import (
@@ -50,7 +42,6 @@ from .varifolds import (
     make_varifold,
     pushforward_varifold,
     stationarity,
-    varifold_mass,
 )
 from .calibration import (
     Certificate,

@@ -34,7 +34,7 @@ from .complexes import BoundaryRegion, EmbeddedComplex, subdivide
 from .exterior_algebra import Multivector
 from .groups import MultivectorGroup, group_to_json
 from .solver import MinMassProblem, SolverConfig, min_mass_fixed_boundary, flat_norm_solve
-from .varifolds import PolyhedralVarifold, chainify, stationarity, varifold_to_json
+from .varifolds import PolyhedralVarifold, stationarity, varifold_to_json
 
 COMPETITOR_CLASS = (
     "all chains over Lambda_m R^N on the ambient space with equal boundary"
@@ -120,17 +120,11 @@ def _provenance(K: EmbeddedComplex, group, tols: dict, extra=None) -> dict:
     return out
 
 
-def certify_calibrated(A: Chain, tol: float = 1e-9) -> Certificate:
-    """Check the calibration equality Phi(A) = M(A) and its per-simplex form.
-
-    Equality holds exactly when every coefficient is a nonnegative scalar
-    multiple of the unit m-vector of its simplex (the Cauchy-Schwarz equality
-    case), and it implies mass minimality in the boundary class.
-    """
-    _require_matching_group(A)
+def _calibration_checks(A: Chain, tol: float):
+    """The calibration checks on A, with Phi(A) and M(A)."""
     K, m = A.complex, A.dimension
+    value = phi(A)  # validates the coefficient group
     total_mass = mass(A)
-    value = phi(A)
     scale = max(1.0, total_mass)
     checks = [
         CheckResult(
@@ -158,13 +152,26 @@ def certify_calibrated(A: Chain, tol: float = 1e-9) -> Certificate:
             tol=tol,
         )
     )
-    ok = checks[1].passed and checks[2].passed and checks[0].passed
+    return checks, value, total_mass
+
+
+def certify_calibrated(A: Chain, tol: float = 1e-9) -> Certificate:
+    """Check the calibration equality Phi(A) = M(A) and its per-simplex form.
+
+    Equality holds exactly when every coefficient is a nonnegative scalar
+    multiple of the unit m-vector of its simplex (the Cauchy-Schwarz equality
+    case), and it implies mass minimality in the boundary class.
+    """
+    checks, value, total_mass = _calibration_checks(A, tol)
+    ok = all(c.passed for c in checks)
     subject = "chain:" + _digest(chain_to_json(A))
     return Certificate(
         subject=subject,
         checks=checks,
         conclusion="calibrated-minimizer" if ok else "not-calibrated",
-        provenance=_provenance(K, A.group, {"tol": tol}, {"phi": value, "mass": total_mass}),
+        provenance=_provenance(
+            A.complex, A.group, {"tol": tol}, {"phi": value, "mass": total_mass}
+        ),
     )
 
 
@@ -250,9 +257,8 @@ def phi_flat_bound(A: Chain, solver_config: SolverConfig | None = None, tol: flo
     value = None
     if isinstance(A.group, MultivectorGroup) and A.group.grade == A.dimension:
         value = phi(A)
-    lower = None if value is None else value
     try:
-        res = flat_norm_solve(A, config=solver_config, lower_bound=lower)
+        res = flat_norm_solve(A, config=solver_config, lower_bound=value)
         flat_value, status = res.value, res.status
         notes = "zero filling retained" if res.used_zero_filling else ""
     except Exception as exc:  # solver failure is a report, not an error
@@ -295,32 +301,29 @@ def minimality_certificate(
     records whether the solver ran.
     """
     K = V.complex
-    A = chainify(V)
-    checks = []
     report = stationarity(V, gamma, tol=tol)
-    checks.append(
+    A, dA = report.chain, report.chain_boundary
+    checks = [
         CheckResult(
             name="stationarity",
             passed=report.is_stationary,
             residual=report.max_residual,
             tol=tol,
         )
-    )
-    dA = boundary(A)
-    interior_norms = [
-        dA.group.norm(g) for sid, g in dA.coeffs.items() if sid not in gamma.face_ids
     ]
-    supported = is_supported_in(dA, gamma, tol=tol)
+    interior = {
+        sid: dA.group.norm(g) for sid, g in sorted(dA.coeffs.items()) if sid not in gamma.face_ids
+    }
     checks.append(
         CheckResult(
             name="boundary-support",
-            passed=supported,
-            residual=max(interior_norms, default=0.0),
+            passed=is_supported_in(dA, gamma, tol=tol),
+            residual=max(interior.values(), default=0.0),
             tol=tol,
         )
     )
-    calib = certify_calibrated(A, tol=tol)
-    checks.extend(calib.checks)
+    calib_checks, _, total_mass = _calibration_checks(A, tol)
+    checks.extend(calib_checks)
     solver_info = {"ran": False}
     if with_solver:
         refined, corr = subdivide(K, "barycentric")
@@ -329,13 +332,13 @@ def minimality_certificate(
             refined, V.dimension, boundary(A2), A2.group, solver_config or SolverConfig()
         )
         result = min_mass_fixed_boundary(problem, lower_bound=phi(A2))
-        margin = solver_tol * max(1.0, mass(A))
-        solver_ok = result.status == "converged" and result.objective >= mass(A) - margin
+        margin = solver_tol * max(1.0, total_mass)
+        solver_ok = result.status == "converged" and result.objective >= total_mass - margin
         checks.append(
             CheckResult(
                 name="solver-lower-bound",
                 passed=solver_ok,
-                residual=max(0.0, mass(A) - result.objective),
+                residual=max(0.0, total_mass - result.objective),
                 tol=margin,
             )
         )
@@ -351,15 +354,15 @@ def minimality_certificate(
         conclusion = "calibrated-minimizer"
     elif not (checks[0].passed and checks[1].passed):
         conclusion = "boundary-not-in-gamma"
-    elif not calib.passed:
+    elif not all(c.passed for c in calib_checks):
         conclusion = "not-calibrated"
     else:
         conclusion = "inconclusive"
     subject = "varifold:" + _digest(varifold_to_json(V))
     offending = [
-        {"face": list(K.simplex_tuple(V.dimension - 1, sid)), "coefficient_norm": dA.group.norm(g)}
-        for sid, g in sorted(dA.coeffs.items())
-        if sid not in gamma.face_ids and dA.group.norm(g) > tol
+        {"face": list(K.simplex_tuple(V.dimension - 1, sid)), "coefficient_norm": norm}
+        for sid, norm in interior.items()
+        if norm > tol
     ]
     prov = _provenance(
         K,

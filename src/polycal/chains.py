@@ -12,7 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import config
-from .complexes import BoundaryRegion, EmbeddedComplex, SubdivisionMap, pushforward_complex
+from .complexes import (
+    BoundaryRegion,
+    EmbeddedComplex,
+    SubdivisionMap,
+    json_list,
+    pushforward_complex,
+)
 from .groups import CoefficientGroup, SubgroupWithNorm, group_from_json, group_to_json
 
 
@@ -47,9 +53,6 @@ class Chain:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def copy_with(self, coeffs) -> "Chain":
-        return Chain(self.complex, self.dimension, self.group, coeffs)
 
     def allclose(self, other: "Chain", tol=None) -> bool:
         if (
@@ -142,11 +145,6 @@ def mass(A: Chain) -> float:
     return float(sum(A.group.norm(g) * vols[i] for i, g in A.coeffs.items()))
 
 
-def support(A: Chain):
-    """Ids carrying a nonzero coefficient."""
-    return set(A.coeffs)
-
-
 def is_supported_in(A: Chain, gamma: BoundaryRegion, tol=None) -> bool:
     """True iff every coefficient of A above the tolerance sits inside gamma."""
     if gamma.face_dim != A.dimension:
@@ -191,30 +189,18 @@ def pushforward_chain(
     injective on vertices.  Simplices whose image collapses carry zero mass
     and are dropped; the result records them.
     """
-    K = A.complex
-    frozen = set(int(v) for v in frozen)
-    if gamma is not None:
-        frozen |= set(gamma.vertex_ids())
-    image, smap, dropped = pushforward_complex(K, images, frozen=frozen, tol=tol)
-    coeffs = {}
-    dropped_terms = []
-    for sid, g in A.coeffs.items():
-        new_id = smap[(A.dimension, sid)]
-        if new_id is None:
-            dropped_terms.append((A.dimension, sid))
-        else:
-            coeffs[new_id] = g
-    new_gamma = None
-    if gamma is not None:
-        ids = frozenset(
-            smap[(gamma.face_dim, i)]
-            for i in gamma.face_ids
-            if smap[(gamma.face_dim, i)] is not None
-        )
-        new_gamma = BoundaryRegion(image, gamma.face_dim, ids)
-    chain = Chain(image, A.dimension, A.group, coeffs)
+    image, smap, _, new_gamma = pushforward_complex(
+        A.complex, images, frozen=frozen, gamma=gamma, tol=tol
+    )
+    d = A.dimension
+    coeffs = {smap[(d, i)]: g for i, g in A.coeffs.items() if smap[(d, i)] is not None}
+    dropped = [(d, i) for i in A.coeffs if smap[(d, i)] is None]
     return PushforwardResult(
-        chain=chain, complex=image, simplex_map=smap, dropped=dropped_terms, gamma=new_gamma
+        chain=Chain(image, A.dimension, A.group, coeffs),
+        complex=image,
+        simplex_map=smap,
+        dropped=dropped,
+        gamma=new_gamma,
     )
 
 
@@ -261,6 +247,7 @@ def chain_to_json(A: Chain) -> dict:
 def chain_from_json(K: EmbeddedComplex, doc: dict) -> Chain:
     G = group_from_json(doc["group"])
     terms = [
-        (term["simplex"], G.coeff_from_json(term["coeff"])) for term in doc["terms"]
+        (term["simplex"], G.coeff_from_json(term["coeff"]))
+        for term in json_list(doc, "terms", dict)
     ]
     return make_chain(K, int(doc["dimension"]), G, terms)

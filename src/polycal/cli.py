@@ -12,9 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import __version__
 from .calibration import minimality_certificate, phi_flat_bound
@@ -25,119 +22,12 @@ from .solver import MinMassProblem, SolverConfig, min_mass_fixed_boundary
 from .varifolds import (
     boundary_region_for,
     chainify,
+    deform_experiment,
     generate_example,
-    pushforward_varifold,
     stationarity,
     varifold_from_json,
     varifold_to_json,
 )
-
-COMMANDS = (
-    "validate",
-    "stationarity",
-    "chainify",
-    "certify",
-    "minimize",
-    "flatnorm",
-    "deform",
-    "groupnorm",
-    "demo",
-)
-
-
-@dataclass
-class CommandRequest:
-    command: str
-    inputs: list = field(default_factory=list)
-    out: str | None = None
-    tol: float | None = None
-    seed: int = 0
-    solver_config: SolverConfig = field(default_factory=SolverConfig)
-    options: dict = field(default_factory=dict)
-
-
-@dataclass
-class DeformReport:
-    trials: int
-    accepted: int
-    rejected: int
-    min_ratio: float
-    max_ratio: float
-    mean_ratio: float
-    mass_original: float
-    magnitude: float
-    seed: int
-    passed: bool
-
-    def to_json(self):
-        return {
-            "trials": self.trials,
-            "accepted": self.accepted,
-            "rejected": self.rejected,
-            "min_ratio": self.min_ratio,
-            "max_ratio": self.max_ratio,
-            "mean_ratio": self.mean_ratio,
-            "mass_original": self.mass_original,
-            "magnitude": self.magnitude,
-            "seed": self.seed,
-            "pass": self.passed,
-        }
-
-
-def deform_experiment(V, gamma, trials: int, magnitude: float, seed: int = 0, tol=None) -> DeformReport:
-    """Random PL vertex perturbations must not decrease mass.
-
-    The varifold must be stationary off gamma (checked first).  Each trial
-    moves the non-frozen support vertices by offsets drawn uniformly from a
-    ball of the given radius; maps that collapse any simplex or collide
-    vertices are rejected.  Passes when the minimum accepted mass ratio stays
-    above 1 - 1e-9.
-    """
-    report = stationarity(V, gamma, tol=tol)
-    if not report.is_stationary:
-        raise ValueError(
-            f"varifold is not stationary off gamma (max residual {report.max_residual:.3e})"
-        )
-    K = V.complex
-    frozen = gamma.vertex_ids()
-    movable = sorted(V.support_vertices() - frozen)
-    rng = np.random.default_rng(seed)
-    base_mass = V.mass()
-    n = K.ambient_dim
-    ratios = []
-    rejected = 0
-    for _ in range(int(trials)):
-        offsets = rng.standard_normal((len(movable), n))
-        norms = np.linalg.norm(offsets, axis=1, keepdims=True)
-        radii = magnitude * rng.uniform(size=(len(movable), 1)) ** (1.0 / n)
-        offsets = np.where(norms > 0, offsets / np.maximum(norms, 1e-300) * radii, 0.0)
-        images = K.vertices.copy()
-        for row, v in enumerate(movable):
-            images[v] = images[v] + offsets[row]
-        try:
-            res = pushforward_varifold(V, images, gamma=gamma)
-        except ValueError:
-            rejected += 1
-            continue
-        if any(new_id is None for new_id in res.simplex_map.values()):
-            rejected += 1
-            continue
-        ratios.append(res.varifold.mass() / base_mass)
-    if not ratios:
-        raise ValueError("all deformation trials were rejected; geometry too tight")
-    ratios = np.asarray(ratios)
-    return DeformReport(
-        trials=int(trials),
-        accepted=len(ratios),
-        rejected=rejected,
-        min_ratio=float(ratios.min()),
-        max_ratio=float(ratios.max()),
-        mean_ratio=float(ratios.mean()),
-        mass_original=base_mass,
-        magnitude=float(magnitude),
-        seed=int(seed),
-        passed=bool(ratios.min() >= 1.0 - 1e-9),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -190,86 +80,88 @@ def _complex_varifold_gamma(kinds):
     return K, V, gamma
 
 
-# ---------------------------------------------------------------------------
-# command handlers: each returns (exit_code, payload)
+def _solver_config(args) -> SolverConfig:
+    if args.solver_config:
+        with open(args.solver_config) as handle:
+            return SolverConfig.from_json(json.load(handle))
+    return SolverConfig(seed=args.seed)
 
-def _cmd_validate(request, kinds):
+
+# ---------------------------------------------------------------------------
+# command handlers: each takes the parsed arguments and the classified input
+# documents and returns (exit_code, payload)
+
+def _cmd_validate(args, kinds):
     (cdoc,) = _need(kinds, "complex")
     K, _ = complex_from_json(cdoc)
-    report = validate_geometry(K, tol=request.tol or 1e-7)
+    report = validate_geometry(K, tol=args.tol or 1e-7)
     return (0 if report.valid else 1), report.to_json()
 
 
-def _cmd_stationarity(request, kinds):
+def _cmd_stationarity(args, kinds):
     K, V, gamma = _complex_varifold_gamma(kinds)
-    report = stationarity(V, gamma, tol=request.tol)
+    report = stationarity(V, gamma, tol=args.tol)
     return (0 if report.is_stationary else 1), report.to_json()
 
 
-def _cmd_chainify(request, kinds):
+def _cmd_chainify(args, kinds):
     K, V, _ = _complex_varifold_gamma(kinds)
     return 0, chain_to_json(chainify(V))
 
 
-def _cmd_certify(request, kinds):
+def _cmd_certify(args, kinds):
     K, V, gamma = _complex_varifold_gamma(kinds)
     cert = minimality_certificate(
         V,
         gamma,
-        tol=request.tol or 1e-9,
-        with_solver=request.options.get("with_solver", False),
-        solver_config=request.solver_config,
+        tol=args.tol or 1e-9,
+        with_solver=args.with_solver,
+        solver_config=_solver_config(args),
     )
     return (0 if cert.passed else 1), cert.to_json()
 
 
-def _cmd_minimize(request, kinds):
+def _cmd_minimize(args, kinds):
     cdoc, chdoc = _need(kinds, "complex", "chain")
     K, _ = complex_from_json(cdoc)
     b = chain_from_json(K, chdoc)
-    problem = MinMassProblem(K, b.dimension + 1, b, b.group, request.solver_config)
+    config = _solver_config(args)
+    problem = MinMassProblem(K, b.dimension + 1, b, b.group, config)
     result = min_mass_fixed_boundary(problem)
     payload = result.to_json()
-    payload["seed"] = request.solver_config.seed
+    payload["seed"] = config.seed
     return (0 if result.status == "converged" else 1), payload
 
 
-def _cmd_flatnorm(request, kinds):
+def _cmd_flatnorm(args, kinds):
     cdoc, chdoc = _need(kinds, "complex", "chain")
     K, _ = complex_from_json(cdoc)
     A = chain_from_json(K, chdoc)
-    report = phi_flat_bound(A, solver_config=request.solver_config)
-    payload = report.to_json()
-    return (0 if report.passed else 1), payload
+    report = phi_flat_bound(A, solver_config=_solver_config(args))
+    return (0 if report.passed else 1), report.to_json()
 
 
-def _cmd_deform(request, kinds):
+def _cmd_deform(args, kinds):
     K, V, gamma = _complex_varifold_gamma(kinds)
     report = deform_experiment(
-        V,
-        gamma,
-        trials=request.options.get("trials", 100),
-        magnitude=request.options.get("magnitude", 0.1),
-        seed=request.seed,
-        tol=request.tol,
+        V, gamma, trials=args.trials, magnitude=args.magnitude, seed=args.seed, tol=args.tol
     )
     return (0 if report.passed else 1), report.to_json()
 
 
-def _cmd_groupnorm(request, kinds):
+def _cmd_groupnorm(args, kinds):
     (gdoc,) = _need(kinds, "group")
     G = group_from_json(gdoc)
     if not isinstance(G, SubgroupWithNorm):
         raise ValueError("groupnorm needs a subgroup descriptor")
     payload = {"generator_norms": list(G.generator_norms)}
-    coords = request.options.get("coords")
-    if coords is not None:
-        payload["coords"] = list(coords)
+    if args.coords is not None:
+        coords = [int(tok) for tok in args.coords.split(",") if tok.strip()]
+        payload["coords"] = coords
         payload["norm"] = subgroup_norm(G, coords)
-    ball_radius = request.options.get("ball")
-    if ball_radius is not None:
-        members = norm_ball(G, ball_radius)
-        payload["ball_radius"] = ball_radius
+    if args.ball is not None:
+        members = norm_ball(G, args.ball)
+        payload["ball_radius"] = args.ball
         payload["ball"] = [
             {
                 "coords": list(m.coords),
@@ -278,25 +170,20 @@ def _cmd_groupnorm(request, kinds):
             }
             for m in members
         ]
-    if coords is None and ball_radius is None:
+    if args.coords is None and args.ball is None:
         raise ValueError("groupnorm needs --coords and/or --ball")
     return 0, payload
 
 
-def _cmd_demo(request, kinds):
-    name = request.options["name"]
-    params = {}
-    for key in ("radius", "height"):
-        if request.options.get(key) is not None:
-            params[key] = request.options[key]
-    params["refinement"] = request.options.get("refine", 0)
-    if request.options.get("sectors") is not None:
-        params["sectors"] = request.options["sectors"]
-    if request.options.get("directions") is not None:
-        params["directions"] = json.loads(request.options["directions"])
-    if request.options.get("weights") is not None:
-        params["weights"] = json.loads(request.options["weights"])
-    K, V, gamma = generate_example(name, **params)
+def _cmd_demo(args, kinds):
+    params = {"refinement": args.refine}
+    for key in ("radius", "height", "sectors"):
+        if getattr(args, key) is not None:
+            params[key] = getattr(args, key)
+    for key in ("directions", "weights"):
+        if getattr(args, key) is not None:
+            params[key] = json.loads(getattr(args, key))
+    K, V, gamma = generate_example(args.name, **params)
     return 0, {"complex": K.to_json(gamma), "varifold": varifold_to_json(V)}
 
 
@@ -311,20 +198,6 @@ _HANDLERS = {
     "groupnorm": _cmd_groupnorm,
     "demo": _cmd_demo,
 }
-
-
-def run(request: CommandRequest):
-    """Dispatch a parsed request; returns (exit_code, JSON payload)."""
-    handler = _HANDLERS.get(request.command)
-    if handler is None:
-        raise ValueError(f"unknown command {request.command!r}")
-    kinds = _classify(_load_documents(request.inputs))
-    code, payload = handler(request, kinds)
-    payload["provenance"] = payload.get("provenance", {})
-    payload["provenance"].setdefault("command", request.command)
-    payload["provenance"].setdefault("seed", request.seed)
-    payload["provenance"].setdefault("version", __version__)
-    return code, payload
 
 
 def _parser():
@@ -366,42 +239,6 @@ def _parser():
     return parser
 
 
-def _request_from_args(args) -> CommandRequest:
-    solver_config = SolverConfig(seed=args.seed)
-    if args.solver_config:
-        with open(args.solver_config) as handle:
-            solver_config = SolverConfig.from_json(json.load(handle))
-    options = {}
-    if args.command == "certify":
-        options["with_solver"] = args.with_solver
-    elif args.command == "deform":
-        options["trials"] = args.trials
-        options["magnitude"] = args.magnitude
-    elif args.command == "groupnorm":
-        if args.coords is not None:
-            options["coords"] = [int(tok) for tok in args.coords.split(",") if tok.strip()]
-        options["ball"] = args.ball
-    elif args.command == "demo":
-        options = {
-            "name": args.name,
-            "radius": args.radius,
-            "height": args.height,
-            "refine": args.refine,
-            "sectors": args.sectors,
-            "directions": args.directions,
-            "weights": args.weights,
-        }
-    return CommandRequest(
-        command=args.command,
-        inputs=args.inputs,
-        out=args.out,
-        tol=args.tol,
-        seed=args.seed,
-        solver_config=solver_config,
-        options=options,
-    )
-
-
 def _emit(payload, out_path):
     text = json.dumps(payload, indent=2, default=float)
     if out_path:
@@ -413,13 +250,17 @@ def _emit(payload, out_path):
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    request = _request_from_args(args)
     try:
-        code, payload = run(request)
+        kinds = _classify(_load_documents(args.inputs))
+        code, payload = _HANDLERS[args.command](args, kinds)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"polycal: error: {exc}", file=sys.stderr)
         return 2
-    _emit(payload, request.out)
+    provenance = payload.setdefault("provenance", {})
+    provenance.setdefault("command", args.command)
+    provenance.setdefault("seed", args.seed)
+    provenance.setdefault("version", __version__)
+    _emit(payload, args.out)
     return code
 
 

@@ -32,6 +32,8 @@ class EmbeddedComplex:
         vertices = np.array(vertices, dtype=float)
         if vertices.ndim != 2:
             raise ValueError("vertices must be a (V, N) array")
+        if not np.all(np.isfinite(vertices)):
+            raise ValueError("vertex coordinates must be finite")
         n = vertices.shape[1]
         if not 1 <= n <= config.MAX_AMBIENT_DIM:
             raise ValueError(
@@ -265,11 +267,25 @@ def build_complex(vertices, top_simplices, ambient_dim=None) -> EmbeddedComplex:
     return EmbeddedComplex(vertices, by_dim)
 
 
+def json_list(doc, key, item=object):
+    """``doc[key]``, checked to be a JSON list whose entries are ``item``s."""
+    value = doc[key]
+    if not isinstance(value, list) or not all(isinstance(x, item) for x in value):
+        kind = "" if item is object else f" of {item.__name__}s"
+        raise ValueError(f"{key!r} must be a list{kind}")
+    return value
+
+
 def complex_from_json(doc) -> tuple:
     """Parse the complex JSON format; returns (complex, gamma-or-None)."""
-    K = build_complex(doc["vertices"], doc["simplices"], ambient_dim=doc.get("ambient_dim"))
-    gamma_faces = doc.get("gamma_faces") or []
-    gamma = BoundaryRegion.from_tuples(K, gamma_faces) if gamma_faces else None
+    K = build_complex(
+        json_list(doc, "vertices"),
+        json_list(doc, "simplices", list),
+        ambient_dim=doc.get("ambient_dim"),
+    )
+    gamma = None
+    if doc.get("gamma_faces"):
+        gamma = BoundaryRegion.from_tuples(K, json_list(doc, "gamma_faces", list))
     return K, gamma
 
 
@@ -503,15 +519,19 @@ def subdivide(K: EmbeddedComplex, rule: str, edge=None):
 # ---------------------------------------------------------------------------
 # simplexwise-affine pushforward (vertex relocation)
 
-def pushforward_complex(K: EmbeddedComplex, images, frozen=(), tol=None):
+def pushforward_complex(K: EmbeddedComplex, images, frozen=(), gamma=None, tol=None):
     """Relocate vertices, keeping combinatorics; degenerate images are dropped.
 
     ``images`` is a (V, N) array or a {vertex_id: point} dict overlaying the
-    original coordinates.  Vertices in ``frozen`` must map to themselves and
-    all images must stay pairwise distinct.  Returns
-    (new complex, {(d, old_id): new_id or None}, dropped list).
+    original coordinates.  Vertices in ``frozen`` and the vertices of the
+    boundary region ``gamma`` must map to themselves, and all images must
+    stay pairwise distinct.  Returns (new complex, {(d, old_id): new_id or
+    None}, dropped list, gamma carried to the new complex or None).
     """
     tol = config.zero_tol(tol)
+    frozen = set(int(v) for v in frozen)
+    if gamma is not None:
+        frozen |= gamma.vertex_ids()
     if isinstance(images, dict):
         coords = K.vertices.copy()
         for v, p in images.items():
@@ -520,8 +540,8 @@ def pushforward_complex(K: EmbeddedComplex, images, frozen=(), tol=None):
         coords = np.array(images, dtype=float)
         if coords.shape != K.vertices.shape:
             raise ValueError("vertex image array must match the vertex array shape")
-    for v in frozen:
-        if not np.array_equal(coords[int(v)], K.vertices[int(v)]):
+    for v in sorted(frozen):
+        if not np.array_equal(coords[v], K.vertices[v]):
             raise ValueError(f"map moves frozen vertex {v}")
     if coords.shape[0] > 1:
         from scipy.spatial import cKDTree
@@ -545,4 +565,10 @@ def pushforward_complex(K: EmbeddedComplex, images, frozen=(), tol=None):
                 level.append(t)
         kept.append(level)
     image = EmbeddedComplex(coords, kept)
-    return image, simplex_map, dropped
+    image_gamma = None
+    if gamma is not None:
+        ids = (simplex_map[(gamma.face_dim, i)] for i in gamma.face_ids)
+        image_gamma = BoundaryRegion(
+            image, gamma.face_dim, frozenset(i for i in ids if i is not None)
+        )
+    return image, simplex_map, dropped, image_gamma

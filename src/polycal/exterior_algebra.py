@@ -3,8 +3,9 @@
 Grade-m multivectors are stored as dense vectors over the lexicographically
 ordered basis ``e_{i1} ^ ... ^ e_{im}`` with ``i1 < ... < im``, which is
 orthonormal for the Euclidean inner product used throughout.  The module also
-provides the geometric primitives tied to oriented simplices: the unit simple
-m-vector of a simplex and its m-dimensional Hausdorff measure.
+provides the point kernels behind simplex geometry: the (unnormalized) blade
+spanned by a simplex's edge vectors and its m-dimensional Hausdorff measure;
+``EmbeddedComplex.unit_blade`` and ``volumes`` build on them.
 """
 
 from __future__ import annotations
@@ -187,33 +188,6 @@ def inner(a: Multivector, b: Multivector) -> float:
     return float(np.dot(a.coeffs, b.coeffs))
 
 
-class OrientedSimplex:
-    """Ordered tuple of m+1 points in R^N; vertex order carries orientation."""
-
-    __slots__ = ("vertices",)
-
-    def __init__(self, vertices):
-        arr = np.array(vertices, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] < 1:
-            raise ValueError("vertices must be a nonempty (m+1, N) array")
-        arr.setflags(write=False)
-        object.__setattr__(self, "vertices", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OrientedSimplex is immutable")
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.vertices.shape[1]
-
-    @property
-    def grade(self) -> int:
-        return self.vertices.shape[0] - 1
-
-    def edge_matrix(self) -> np.ndarray:
-        return self.vertices[1:] - self.vertices[0]
-
-
 def blade_of_points(points) -> Multivector:
     """Wedge of the edge vectors (v1-v0) ^ ... ^ (vm-v0); not normalized."""
     points = np.asarray(points, dtype=float)
@@ -239,27 +213,3 @@ def volume_of_points(points) -> float:
     if det <= 0.0:
         return 0.0
     return math.sqrt(det) / math.factorial(m)
-
-
-def simplex_volume(s: OrientedSimplex) -> float:
-    """H^m measure of the simplex; degenerate input gives 0."""
-    return volume_of_points(s.vertices)
-
-
-def unit_simple_vector(s: OrientedSimplex, tol=None) -> Multivector:
-    """Unit simple m-vector of an oriented simplex.
-
-    Swapping two vertices negates the result.  Raises
-    :class:`DegenerateSimplexError` when the vertices are affinely dependent
-    within the volume tolerance.
-    """
-    if s.grade < 1:
-        raise ValueError("unit simple vector requires grade >= 1")
-    blade = blade_of_points(s.vertices)
-    scale = blade.norm()
-    # |blade| = m! * volume, so this tests the same degeneracy as the volume.
-    if scale / math.factorial(s.grade) <= config.zero_tol(tol):
-        raise DegenerateSimplexError(
-            f"simplex volume below tolerance {config.zero_tol(tol)}"
-        )
-    return blade * (1.0 / scale)

@@ -7,8 +7,9 @@ the minimization norm
     |g|_H = min { sum |n_i| |g_i|  :  g = sum n_i g_i,  n_i integers }.
 
 Subgroup elements carry an integer coordinate vector plus the resolved
-ambient value; the norm is computed by bounded branch-and-bound with the
-stored representation as the initial incumbent.
+ambient value; the norm searches the integer coordinate vectors that cost no
+more than the stored representation, whose cost is the answer when nothing
+cheaper turns up.
 """
 
 from __future__ import annotations
@@ -261,63 +262,66 @@ class SubgroupWithNorm(CoefficientGroup):
     def representation_cost(self, coords) -> float:
         return sum(abs(n) * w for n, w in zip(coords, self.generator_norms))
 
-    def represent(self, value, budget: float, tol=None):
-        """Cheapest integer representation of an ambient value, DFS with pruning.
+    def _enumerate(self, radius: float, tol: float) -> list:
+        """Every integer coordinate vector with cost <= radius + tol.
 
-        Searches coordinate vectors with cost <= budget; returns
-        (coords, cost) or None when nothing in the budget reproduces the value.
+        Depth first over the generators in search order; entries are (coords
+        in search order, cost, ambient value).  A zero-norm generator stays
+        at 0: a true norm forces it to be the zero element, so its
+        coordinate is irrelevant.
         """
-        tol = config.zero_tol(tol)
-        order = self._order
-        norms = [self.generator_norms[i] for i in order]
-        gens = [self.generators[i] for i in order]
-        best = {"coords": None, "cost": budget + tol}
+        norms = [self.generator_norms[i] for i in self._order]
+        gens = [self.generators[i] for i in self._order]
+        found = []
 
-        def descend(level, partial_cost, acc):
-            if partial_cost > best["cost"] + tol:
-                return
-            if level == len(order):
-                if self.ambient.norm(self.ambient.add(value, self.ambient.neg(acc))) <= tol:
-                    if partial_cost < best["cost"]:
-                        best["cost"] = partial_cost
-                        best["coords"] = acc_coords.copy()
+        def descend(level, cost, acc, coords):
+            if level == self.k:
+                found.append((tuple(coords), cost, acc))
                 return
             w = norms[level]
-            if w <= tol:
-                # zero-norm generator: a true norm forces it to be the zero
-                # element, so its coordinate is irrelevant; fix it at 0
-                acc_coords.append(0)
-                descend(level + 1, partial_cost, acc)
-                acc_coords.pop()
-                return
-            max_n = int(math.floor((best["cost"] + tol - partial_cost) / w))
+            max_n = 0 if w <= tol else int(math.floor((radius + tol - cost) / w))
             for n in _signed_range(max_n):
-                cost = partial_cost + abs(n) * w
-                if cost > best["cost"] + tol:
+                c = cost + abs(n) * w
+                if c > radius + tol:
                     continue
                 nxt = acc if n == 0 else self.ambient.add(acc, self.ambient.scale(gens[level], n))
-                acc_coords.append(n)
-                descend(level + 1, cost, nxt)
-                acc_coords.pop()
+                descend(level + 1, c, nxt, coords + [n])
 
-        acc_coords = []
-        descend(0, 0.0, self.ambient.zero())
-        if best["coords"] is None:
-            return None
+        descend(0, 0.0, self.ambient.zero(), [])
+        return found
+
+    def _from_search_order(self, search_coords) -> tuple:
         coords = [0] * self.k
-        for pos, i in enumerate(order):
-            coords[i] = best["coords"][pos]
-        return tuple(coords), best["cost"]
+        for pos, i in enumerate(self._order):
+            coords[i] = search_coords[pos]
+        return tuple(coords)
+
+    def represent(self, value, budget: float, tol=None):
+        """Cheapest integer representation of an ambient value.
+
+        Searches coordinate vectors with cost <= budget; returns (coords,
+        cost) or None when nothing in the budget reproduces the value.  Ties
+        go to the first vector in search order.
+        """
+        tol = config.zero_tol(tol)
+        best = None
+        for coords, cost, acc in self._enumerate(budget, tol):
+            if (best is None or cost < best[1]) and self.ambient.equal(value, acc, tol):
+                best = (coords, cost)
+        if best is None:
+            return None
+        return self._from_search_order(best[0]), best[1]
 
     def norm(self, g) -> float:
         g = self.coerce(g)
         cached = self._norm_cache.get(g.coords)
         if cached is not None:
             return cached
-        found = self.represent(g.value, budget=self.representation_cost(g.coords))
-        # the input representation is itself in the search space
-        assert found is not None
-        out = found[1]
+        stored = self.representation_cost(g.coords)
+        found = self.represent(g.value, budget=stored)
+        # The stored coordinates represent g by definition, but the search
+        # re-sums values in its own order and may miss them by rounding.
+        out = stored if found is None else found[1]
         self._norm_cache[g.coords] = out
         return out
 
@@ -392,40 +396,15 @@ def norm_ball(H: SubgroupWithNorm, lam: float):
         raise ValueError("norm ball radius must be nonnegative")
     if any(w <= config.ZERO_TOL for w in H.generator_norms):
         raise ValueError("norm_ball needs strictly positive generator norms")
-    order = H._order
-    norms = [H.generator_norms[i] for i in order]
-    gens = [H.generators[i] for i in order]
-    tol = config.ZERO_TOL
-    found = []  # (coords in search order, cost, value)
-
-    def descend(level, cost, acc, coords):
-        if level == len(order):
-            found.append((tuple(coords), cost, acc))
-            return
-        w = norms[level]
-        max_n = int(math.floor((lam + tol - cost) / w))
-        for n in _signed_range(max_n):
-            c = cost + abs(n) * w
-            if c > lam + tol:
-                continue
-            nxt = acc if n == 0 else H.ambient.add(acc, H.ambient.scale(gens[level], n))
-            coords.append(n)
-            descend(level + 1, c, nxt, coords)
-            coords.pop()
-
-    descend(0, 0.0, H.ambient.zero(), [])
+    found = H._enumerate(lam, config.ZERO_TOL)  # coords in search order
     # merge coincidences: distinct coordinates, same ambient element
     members = []
     for oc, cost, value in sorted(found, key=lambda item: (item[1], item[0])):
-        coords = [0] * H.k
-        for pos, i in enumerate(order):
-            coords[i] = oc[pos]
-        coords = tuple(coords)
         for m in members:
             if H.ambient.equal(m.value, value):
                 break
         else:
-            members.append(BallMember(coords=coords, norm=cost, value=value))
+            members.append(BallMember(coords=H._from_search_order(oc), norm=cost, value=value))
     members.sort(key=lambda m: (m.norm, m.coords))
     return members
 

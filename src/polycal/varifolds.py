@@ -25,6 +25,7 @@ from .complexes import (
     EmbeddedComplex,
     SubdivisionMap,
     build_complex,
+    json_list,
     pushforward_complex,
     subdivide,
 )
@@ -70,8 +71,8 @@ def make_varifold(K: EmbeddedComplex, m: int, weighted_simplices) -> PolyhedralV
     acc = {}
     for raw, c in weighted_simplices:
         c = float(c)
-        if c < 0:
-            raise ValueError("varifold weights must be nonnegative")
+        if not 0.0 <= c < math.inf:
+            raise ValueError("varifold weights must be finite and nonnegative")
         if isinstance(raw, (int, np.integer)):
             sid = int(raw)
             if not 0 <= sid < K.n_simplices(m):
@@ -82,10 +83,6 @@ def make_varifold(K: EmbeddedComplex, m: int, weighted_simplices) -> PolyhedralV
                 raise ValueError(f"{tuple(raw)} is not an {m}-simplex")
         acc[sid] = acc.get(sid, 0.0) + c
     return PolyhedralVarifold(K, m, {i: c for i, c in acc.items() if c > 0.0})
-
-
-def varifold_mass(V: PolyhedralVarifold) -> float:
-    return V.mass()
 
 
 def conormal(K: EmbeddedComplex, sigma, tau, tol=None) -> np.ndarray:
@@ -139,6 +136,10 @@ class StationarityReport:
     max_residual: float = 0.0
     is_stationary: bool = True
     max_crosscheck_residual: float = 0.0
+    # the associated chain and its boundary, reused by the certificate; not
+    # part of the JSON report
+    chain: Chain | None = field(default=None, repr=False)
+    chain_boundary: Chain | None = field(default=None, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -182,8 +183,9 @@ def stationarity(
     K, m = V.complex, V.dimension
     if gamma.complex is not K or gamma.face_dim != m - 1:
         raise ValueError("boundary region does not match the varifold")
-    bchain = boundary(chainify(V))
-    report = StationarityReport(dimension=m, tol=tol)
+    A = chainify(V)
+    bchain = boundary(A)
+    report = StationarityReport(dimension=m, tol=tol, chain=A, chain_boundary=bchain)
     n = K.ambient_dim
     for fid in range(K.n_simplices(m - 1)):
         if fid in gamma.face_ids:
@@ -282,26 +284,12 @@ def pushforward_varifold(
     V: PolyhedralVarifold, images, frozen=(), gamma: BoundaryRegion | None = None, tol=None
 ) -> VarifoldPushforward:
     """Relocate vertices; weights ride along, collapsed simplices are dropped."""
-    frozen = set(int(v) for v in frozen)
-    if gamma is not None:
-        frozen |= set(gamma.vertex_ids())
-    image, smap, _ = pushforward_complex(V.complex, images, frozen=frozen, tol=tol)
-    weights = {}
-    dropped = []
-    for sid, c in V.weights.items():
-        new_id = smap[(V.dimension, sid)]
-        if new_id is None:
-            dropped.append((V.dimension, sid))
-        else:
-            weights[new_id] = c
-    new_gamma = None
-    if gamma is not None:
-        ids = frozenset(
-            smap[(gamma.face_dim, i)]
-            for i in gamma.face_ids
-            if smap[(gamma.face_dim, i)] is not None
-        )
-        new_gamma = BoundaryRegion(image, gamma.face_dim, ids)
+    image, smap, _, new_gamma = pushforward_complex(
+        V.complex, images, frozen=frozen, gamma=gamma, tol=tol
+    )
+    d = V.dimension
+    weights = {smap[(d, i)]: c for i, c in V.weights.items() if smap[(d, i)] is not None}
+    dropped = [(d, i) for i in V.weights if smap[(d, i)] is None]
     return VarifoldPushforward(
         varifold=PolyhedralVarifold(image, V.dimension, weights),
         complex=image,
@@ -324,7 +312,100 @@ def varifold_to_json(V: PolyhedralVarifold) -> dict:
 
 def varifold_from_json(K: EmbeddedComplex, doc: dict) -> PolyhedralVarifold:
     m = int(doc["dimension"])
-    return make_varifold(K, m, [(entry["simplex"], entry["c"]) for entry in doc["weights"]])
+    pairs = []
+    for entry in json_list(doc, "weights", dict):
+        simplex, c = entry["simplex"], entry["c"]
+        if not isinstance(simplex, (list, int)) or not isinstance(c, (int, float)):
+            raise ValueError(f"malformed weight entry {entry!r}")
+        pairs.append((simplex, c))
+    return make_varifold(K, m, pairs)
+
+
+# ---------------------------------------------------------------------------
+# random deformation experiment
+
+@dataclass
+class DeformReport:
+    trials: int
+    accepted: int
+    rejected: int
+    min_ratio: float
+    max_ratio: float
+    mean_ratio: float
+    mass_original: float
+    magnitude: float
+    seed: int
+    passed: bool
+
+    def to_json(self):
+        return {
+            "trials": self.trials,
+            "accepted": self.accepted,
+            "rejected": self.rejected,
+            "min_ratio": self.min_ratio,
+            "max_ratio": self.max_ratio,
+            "mean_ratio": self.mean_ratio,
+            "mass_original": self.mass_original,
+            "magnitude": self.magnitude,
+            "seed": self.seed,
+            "pass": self.passed,
+        }
+
+
+def deform_experiment(V, gamma, trials: int, magnitude: float, seed: int = 0, tol=None) -> DeformReport:
+    """Random PL vertex perturbations must not decrease mass.
+
+    The varifold must be stationary off gamma (checked first).  Each trial
+    moves the non-frozen support vertices by offsets drawn uniformly from a
+    ball of the given radius; maps that collapse any simplex or collide
+    vertices are rejected.  Passes when the minimum accepted mass ratio stays
+    above 1 - 1e-9.
+    """
+    report = stationarity(V, gamma, tol=tol)
+    if not report.is_stationary:
+        raise ValueError(
+            f"varifold is not stationary off gamma (max residual {report.max_residual:.3e})"
+        )
+    K = V.complex
+    frozen = gamma.vertex_ids()
+    movable = sorted(V.support_vertices() - frozen)
+    rng = np.random.default_rng(seed)
+    base_mass = V.mass()
+    n = K.ambient_dim
+    ratios = []
+    rejected = 0
+    for _ in range(int(trials)):
+        offsets = rng.standard_normal((len(movable), n))
+        norms = np.linalg.norm(offsets, axis=1, keepdims=True)
+        radii = magnitude * rng.uniform(size=(len(movable), 1)) ** (1.0 / n)
+        offsets = np.where(norms > 0, offsets / np.maximum(norms, 1e-300) * radii, 0.0)
+        images = K.vertices.copy()
+        for row, v in enumerate(movable):
+            images[v] = images[v] + offsets[row]
+        try:
+            res = pushforward_varifold(V, images, gamma=gamma)
+        except ValueError:
+            rejected += 1
+            continue
+        if any(new_id is None for new_id in res.simplex_map.values()):
+            rejected += 1
+            continue
+        ratios.append(res.varifold.mass() / base_mass)
+    if not ratios:
+        raise ValueError("all deformation trials were rejected; geometry too tight")
+    ratios = np.asarray(ratios)
+    return DeformReport(
+        trials=int(trials),
+        accepted=len(ratios),
+        rejected=rejected,
+        min_ratio=float(ratios.min()),
+        max_ratio=float(ratios.max()),
+        mean_ratio=float(ratios.mean()),
+        mass_original=base_mass,
+        magnitude=float(magnitude),
+        seed=int(seed),
+        passed=bool(ratios.min() >= 1.0 - 1e-9),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +440,10 @@ def generate_example(name: str, radius: float = 1.0, refinement: int = 0, **para
     if refinement < 0:
         raise ValueError("refinement level must be nonnegative")
 
+    weights = None
     if name == "y_line":
         verts = np.vstack([np.zeros(2), radius * Y_DIRECTIONS])
-        K = build_complex(verts, [(0, i) for i in range(1, 4)])
-        V = make_varifold(K, 1, [((0, i), 1.0) for i in range(1, 4)])
+        tops = [(0, i) for i in range(1, 4)]
     elif name == "plane_disk":
         sectors = int(params.pop("sectors", 6))
         if sectors < 3:
@@ -372,9 +453,7 @@ def generate_example(name: str, radius: float = 1.0, refinement: int = 0, **para
             [np.cos(angles), np.sin(angles), np.zeros(sectors)]
         )
         verts = np.vstack([np.zeros(3), rim])
-        tris = [(0, 1 + k, 1 + (k + 1) % sectors) for k in range(sectors)]
-        K = build_complex(verts, tris)
-        V = make_varifold(K, 2, [(t, 1.0) for t in tris])
+        tops = [(0, 1 + k, 1 + (k + 1) % sectors) for k in range(sectors)]
     elif name == "y_times_r":
         height = float(params.pop("height", radius))
         if height <= 0:
@@ -382,17 +461,13 @@ def generate_example(name: str, radius: float = 1.0, refinement: int = 0, **para
         base = np.hstack([radius * Y_DIRECTIONS, np.zeros((3, 1))])
         top = base + np.array([0.0, 0.0, height])
         verts = np.vstack([np.zeros(3), [[0.0, 0.0, height]], base, top])
-        tris = []
+        tops = []
         for i in range(3):
             b, t = 2 + i, 5 + i
-            tris += [(0, b, t), (0, t, 1)]
-        K = build_complex(verts, tris)
-        V = make_varifold(K, 2, [(t, 1.0) for t in tris])
+            tops += [(0, b, t), (0, t, 1)]
     elif name == "tetrahedral_cone":
         verts = np.vstack([np.zeros(3), radius * TETRA_VERTICES])
-        tris = [(0, a, b) for a in range(1, 5) for b in range(a + 1, 5)]
-        K = build_complex(verts, tris)
-        V = make_varifold(K, 2, [(t, 1.0) for t in tris])
+        tops = [(0, a, b) for a in range(1, 5) for b in range(a + 1, 5)]
     elif name == "custom_net_cone":
         directions = params.pop("directions", None)
         if directions is None:
@@ -409,12 +484,11 @@ def generate_example(name: str, radius: float = 1.0, refinement: int = 0, **para
         if len(weights) != len(directions):
             raise ValueError("weights must match directions")
         verts = np.vstack([np.zeros(directions.shape[1]), radius * directions])
-        K = build_complex(verts, [(0, i) for i in range(1, len(directions) + 1)])
-        V = make_varifold(
-            K, 1, [((0, i + 1), w) for i, w in enumerate(weights)]
-        )
+        tops = [(0, i) for i in range(1, len(directions) + 1)]
     else:
         raise ValueError(f"unknown example {name!r}; catalog: {', '.join(CATALOG)}")
+    K = build_complex(verts, tops)
+    V = make_varifold(K, len(tops[0]) - 1, zip(tops, weights or [1.0] * len(tops)))
     if params:
         raise ValueError(f"unexpected parameters for {name}: {sorted(params)}")
 

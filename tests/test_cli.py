@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 
 from polycal.chains import chain_from_json, chain_to_json, boundary
-from polycal.cli import deform_experiment, main
+from polycal.cli import main
 from polycal.complexes import BoundaryRegion, build_complex, complex_from_json
-from polycal.varifolds import chainify, generate_example, make_varifold, varifold_to_json
+from polycal.varifolds import (
+    chainify,
+    deform_experiment,
+    generate_example,
+    make_varifold,
+    varifold_to_json,
+)
 
 
 def write(tmp_path, name, doc):

@@ -217,7 +217,7 @@ def test_subdivide_unknown_rule_and_missing_edge():
 
 def test_pushforward_identity_keeps_everything():
     K = y_complex()
-    image, smap, dropped = pushforward_complex(K, K.vertices)
+    image, smap, dropped, _ = pushforward_complex(K, K.vertices)
     assert dropped == []
     assert image.simplices == K.simplices
 
@@ -226,7 +226,7 @@ def test_pushforward_drops_collapsed_triangle():
     K = build_complex([[0, 0], [1, 0], [0, 1], [1, 1]], [(0, 1, 2), (1, 2, 3)])
     images = K.vertices.copy()
     images[3] = [0.5, 0.5]  # onto the shared edge: triangle (1,2,3) flattens
-    image, smap, dropped = pushforward_complex(K, images)
+    image, smap, dropped, _ = pushforward_complex(K, images)
     d, sid = K.simplex_id((1, 2, 3))
     assert (d, sid) in dropped
     assert image.n_simplices(2) == 1
@@ -234,7 +234,7 @@ def test_pushforward_drops_collapsed_triangle():
 
 def test_pushforward_accepts_vertex_dict():
     K = y_complex()
-    image, smap, dropped = pushforward_complex(K, {0: [0.2, 0.1]})
+    image, smap, dropped, _ = pushforward_complex(K, {0: [0.2, 0.1]})
     assert dropped == []
     assert np.allclose(image.vertices[0], [0.2, 0.1])
     assert np.allclose(image.vertices[1:], K.vertices[1:])

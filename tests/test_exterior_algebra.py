@@ -4,15 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from polycal.complexes import EmbeddedComplex
 from polycal.exterior_algebra import (
     DegenerateSimplexError,
     Multivector,
-    OrientedSimplex,
     basis_index_sets,
     blade_of_points,
     inner,
-    simplex_volume,
-    unit_simple_vector,
+    volume_of_points,
     wedge,
 )
 
@@ -151,31 +150,34 @@ def test_inner_grade_mismatch_rejected():
 # ---------------------------------------------------------------------------
 # unit simple vector
 
+def unit_blade_of(points):
+    """Unit blade of the simplex oriented by the row order of ``points``."""
+    points = np.asarray(points, dtype=float)
+    m = len(points) - 1
+    levels = [list(itertools.combinations(range(m + 1), d + 1)) for d in range(m + 1)]
+    return EmbeddedComplex(points, levels).unit_blade(m, 0)
+
+
 def test_unit_vector_of_axis_segment():
-    s = OrientedSimplex([[0.0, 0.0], [1.0, 0.0]])
-    assert unit_simple_vector(s).allclose(Multivector.basis_blade(2, (0,)))
+    assert unit_blade_of([[0.0, 0.0], [1.0, 0.0]]).allclose(Multivector.basis_blade(2, (0,)))
 
 
 def test_unit_vector_of_axis_triangle_and_reversal():
-    tri = OrientedSimplex([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
-    assert unit_simple_vector(tri).allclose(E12)
-    flipped = OrientedSimplex([[0, 0, 0], [0, 1, 0], [1, 0, 0]])
-    assert unit_simple_vector(flipped).allclose(-E12)
+    assert unit_blade_of([[0, 0, 0], [1, 0, 0], [0, 1, 0]]).allclose(E12)
+    assert unit_blade_of([[0, 0, 0], [0, 1, 0], [1, 0, 0]]).allclose(-E12)
 
 
 def test_unit_vector_has_unit_norm():
     rng = np.random.default_rng(5)
     for m, n in [(1, 2), (1, 4), (2, 3), (3, 5)]:
         pts = rng.standard_normal((m + 1, n))
-        assert unit_simple_vector(OrientedSimplex(pts)).norm() == pytest.approx(
-            1.0, abs=1e-12
-        )
+        assert unit_blade_of(pts).norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_unit_vector_permutation_parity():
     rng = np.random.default_rng(17)
     pts = rng.standard_normal((3, 4))
-    base = unit_simple_vector(OrientedSimplex(pts))
+    base = unit_blade_of(pts)
     for perm in itertools.permutations(range(3)):
         swaps = sum(
             1
@@ -184,27 +186,25 @@ def test_unit_vector_permutation_parity():
             if perm[i] > perm[j]
         )
         sign = -1.0 if swaps % 2 else 1.0
-        permuted = unit_simple_vector(OrientedSimplex(pts[list(perm)]))
+        permuted = unit_blade_of(pts[list(perm)])
         assert permuted.allclose(sign * base, tol=1e-12)
 
 
 def test_unit_vector_rejects_degenerate_simplex():
-    s = OrientedSimplex([[0.0, 0.0], [0.0, 0.0]])
+    K = EmbeddedComplex([[0.0, 0.0], [0.0, 0.0]], [[(0,), (1,)], [(0, 1)]])
     with pytest.raises(DegenerateSimplexError):
-        unit_simple_vector(s)
+        K.unit_blade(1, 0)
 
 
 # ---------------------------------------------------------------------------
 # volume
 
 def test_volume_unit_right_triangle():
-    s = OrientedSimplex([[0, 0], [1, 0], [0, 1]])
-    assert simplex_volume(s) == pytest.approx(0.5)
+    assert volume_of_points([[0, 0], [1, 0], [0, 1]]) == pytest.approx(0.5)
 
 
 def test_volume_diagonal_segment():
-    s = OrientedSimplex([[0, 0, 0], [1, 1, 0]])
-    assert simplex_volume(s) == pytest.approx(math.sqrt(2))
+    assert volume_of_points([[0, 0, 0], [1, 1, 0]]) == pytest.approx(math.sqrt(2))
 
 
 def test_volume_regular_tetrahedron_vs_cayley_menger():
@@ -216,7 +216,7 @@ def test_volume_regular_tetrahedron_vs_cayley_menger():
             [0.5, math.sqrt(3) / 6, math.sqrt(6) / 3],
         ]
     )
-    vol = simplex_volume(OrientedSimplex(pts))
+    vol = volume_of_points(pts)
     assert vol == pytest.approx(1.0 / (6 * math.sqrt(2)), rel=1e-12)
     assert vol == pytest.approx(cayley_menger_volume(pts), rel=1e-10)
 
@@ -225,33 +225,28 @@ def test_volume_matches_cayley_menger_on_random_simplices():
     rng = np.random.default_rng(23)
     for m, n in [(1, 3), (2, 3), (2, 5), (3, 4)]:
         pts = rng.standard_normal((m + 1, n))
-        assert simplex_volume(OrientedSimplex(pts)) == pytest.approx(
-            cayley_menger_volume(pts), rel=1e-9
-        )
+        assert volume_of_points(pts) == pytest.approx(cayley_menger_volume(pts), rel=1e-9)
 
 
 def test_volume_invariant_under_permutation_and_rigid_motion():
     rng = np.random.default_rng(29)
     pts = rng.standard_normal((3, 4))
-    vol = simplex_volume(OrientedSimplex(pts))
+    vol = volume_of_points(pts)
     for perm in itertools.permutations(range(3)):
-        assert simplex_volume(OrientedSimplex(pts[list(perm)])) == pytest.approx(
-            vol, rel=1e-12
-        )
+        assert volume_of_points(pts[list(perm)]) == pytest.approx(vol, rel=1e-12)
     for _ in range(5):
         rot = random_rotation(rng, 4)
         shift = rng.standard_normal(4)
         moved = pts @ rot.T + shift
-        assert simplex_volume(OrientedSimplex(moved)) == pytest.approx(vol, rel=1e-10)
+        assert volume_of_points(moved) == pytest.approx(vol, rel=1e-10)
 
 
 def test_volume_of_degenerate_simplex_is_zero():
-    s = OrientedSimplex([[0, 0], [1, 0], [2, 0]])
-    assert simplex_volume(s) == 0.0
+    assert volume_of_points([[0, 0], [1, 0], [2, 0]]) == 0.0
 
 
 def test_volume_of_point_is_one():
-    assert simplex_volume(OrientedSimplex([[1.0, 2.0]])) == 1.0
+    assert volume_of_points([[1.0, 2.0]]) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +272,7 @@ def test_blade_of_points_norm_is_factorial_times_volume():
     pts = rng.standard_normal((4, 5))
     blade = blade_of_points(pts)
     assert blade.norm() == pytest.approx(
-        math.factorial(3) * simplex_volume(OrientedSimplex(pts)), rel=1e-10
+        math.factorial(3) * volume_of_points(pts), rel=1e-10
     )
 
 

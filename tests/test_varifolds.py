@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from polycal.chains import boundary, is_supported_in, mass, support
+from polycal.chains import boundary, is_supported_in, mass
 from polycal.complexes import BoundaryRegion, build_complex, subdivide
 from polycal.exterior_algebra import Multivector, wedge
 from polycal.varifolds import (
@@ -19,7 +19,6 @@ from polycal.varifolds import (
     stationarity,
     transport_varifold,
     varifold_from_json,
-    varifold_mass,
     varifold_to_json,
 )
 
@@ -52,19 +51,19 @@ def l_shape():
 def test_varifold_mass_one_triangle():
     K = build_complex([[0, 0], [1, 0], [0, 1]], [(0, 1, 2)])
     V = make_varifold(K, 2, [((0, 1, 2), 1.0)])
-    assert varifold_mass(V) == pytest.approx(0.5)
+    assert V.mass() == pytest.approx(0.5)
 
 
 def test_duplicate_entries_merge():
     K = build_complex([[0, 0], [1, 0], [0, 1]], [(0, 1, 2)])
     V = make_varifold(K, 2, [((0, 1, 2), 1.0), ((2, 1, 0), 1.0)])
     assert list(V.weights.values()) == [2.0]
-    assert varifold_mass(V) == pytest.approx(1.0)
+    assert V.mass() == pytest.approx(1.0)
 
 
 def test_y_cone_mass_and_negative_weight():
     K, V, _ = generate_example("y_line")
-    assert varifold_mass(V) == pytest.approx(3.0)
+    assert V.mass() == pytest.approx(3.0)
     with pytest.raises(ValueError, match="nonnegative"):
         make_varifold(K, 1, [((0, 1), -1.0)])
 
@@ -196,7 +195,7 @@ def test_chainify_weighted_segment():
 def test_chainify_mass_preserving_and_per_simplex_aligned():
     K, V, _ = generate_example("tetrahedral_cone")
     A = chainify(V)
-    assert mass(A) == pytest.approx(varifold_mass(V), rel=1e-12)
+    assert mass(A) == pytest.approx(V.mass(), rel=1e-12)
     for sid, g in A.coeffs.items():
         c = V.weights[sid]
         eta = K.unit_blade(2, sid)
@@ -270,7 +269,7 @@ def test_residual_norm_equals_boundary_coefficient_norm():
 def test_y_line_structure():
     K, V, gamma = generate_example("y_line", radius=2.0)
     assert K.n_simplices(1) == 3
-    assert varifold_mass(V) == pytest.approx(6.0)
+    assert V.mass() == pytest.approx(6.0)
     assert len(gamma.face_ids) == 3
     tuples = {K.simplex_tuple(0, i) for i in gamma.face_ids}
     assert (0,) not in tuples
@@ -286,7 +285,7 @@ def test_tetrahedral_cone_structure():
 
 def test_refinement_preserves_mass_and_stationarity():
     K, V, gamma = generate_example("y_times_r", refinement=2)
-    assert varifold_mass(V) == pytest.approx(3.0, rel=1e-12)
+    assert V.mass() == pytest.approx(3.0, rel=1e-12)
     report = stationarity(V, gamma, tol=1e-10)
     assert report.is_stationary
 
@@ -322,7 +321,7 @@ def test_custom_net_cone_balanced_in_r3():
 def test_pushforward_identity_keeps_mass():
     K, V, gamma = generate_example("y_line")
     res = pushforward_varifold(V, K.vertices, gamma=gamma)
-    assert varifold_mass(res.varifold) == pytest.approx(3.0)
+    assert res.varifold.mass() == pytest.approx(3.0)
 
 
 def test_moving_steiner_point_increases_mass():
@@ -330,7 +329,7 @@ def test_moving_steiner_point_increases_mass():
     images = K.vertices.copy()
     images[0] = [0.1, 0.0]
     res = pushforward_varifold(V, images, gamma=gamma)
-    moved = varifold_mass(res.varifold)
+    moved = res.varifold.mass()
     direct = sum(np.linalg.norm(K.vertices[i] - images[0]) for i in (1, 2, 3))
     assert moved == pytest.approx(direct, rel=1e-12)
     assert moved > 3.0
@@ -353,14 +352,14 @@ def test_varifold_and_chain_pushforward_masses_agree():
     images[0] = images[0] + 0.05 * rng.standard_normal(3)
     vres = pushforward_varifold(V, images, gamma=gamma)
     cres = pushforward_chain(chainify(V), images, gamma=gamma)
-    assert mass(cres.chain) == pytest.approx(varifold_mass(vres.varifold), rel=1e-12)
+    assert mass(cres.chain) == pytest.approx(vres.varifold.mass(), rel=1e-12)
 
 
 def test_transport_keeps_mass_and_frontier():
     K, V, gamma = generate_example("tetrahedral_cone")
     refined, corr = subdivide(K, "barycentric")
     W = transport_varifold(V, corr)
-    assert varifold_mass(W) == pytest.approx(varifold_mass(V), rel=1e-12)
+    assert W.mass() == pytest.approx(V.mass(), rel=1e-12)
     gamma2 = boundary_region_for(W)
     assert stationarity(W, gamma2, tol=1e-10).is_stationary
 
