@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -250,11 +251,9 @@ def test_certificate_json_round_trip_fields():
     assert doc["provenance"]["complex_hash"] == K.content_hash()
 
 
-def _count_calls(monkeypatch, owners, name):
-    """Route every polycal binding of ``name`` through a call counter."""
-    import sys
-
-    original = getattr(owners[0], name)
+def _count_calls(monkeypatch, owner, name):
+    """Route ``owner.name``, and every polycal module's binding of it, through a counter."""
+    original = getattr(owner, name)
     calls = []
 
     def counted(*args, **kwargs):
@@ -264,9 +263,7 @@ def _count_calls(monkeypatch, owners, name):
     for mod_name, module in list(sys.modules.items()):
         if mod_name.startswith("polycal") and getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, counted)
-    for owner in owners:
-        if isinstance(owner, type):
-            monkeypatch.setattr(owner, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -276,9 +273,9 @@ def test_minimality_certificate_builds_each_piece_once(monkeypatch):
     from polycal.complexes import EmbeddedComplex
 
     K, V, gamma = generate_example("tetrahedral_cone", refinement=1)
-    chainify_calls = _count_calls(monkeypatch, [polycal.varifolds], "chainify")
-    boundary_calls = _count_calls(monkeypatch, [polycal.chains], "boundary")
-    hash_calls = _count_calls(monkeypatch, [EmbeddedComplex], "content_hash")
+    chainify_calls = _count_calls(monkeypatch, polycal.varifolds, "chainify")
+    boundary_calls = _count_calls(monkeypatch, polycal.chains, "boundary")
+    hash_calls = _count_calls(monkeypatch, EmbeddedComplex, "content_hash")
     cert = minimality_certificate(V, gamma)
     assert cert.passed
     assert (len(chainify_calls), len(boundary_calls), len(hash_calls)) == (1, 1, 1)

@@ -39,10 +39,9 @@ DEMOS["l_shape-r0"] = ["demo", "custom_net_cone", "--directions", L_DIRECTIONS]
 DEMOS["plane_disk9-r0"] = ["demo", "plane_disk", "--sectors", "9", "--radius", "2.5"]
 
 TRIANGLE = {"ambient_dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]], "simplices": [[0, 1, 2]]}
-MULTIVECTOR_1 = {"kind": "multivector", "ambient_dim": 2, "grade": 1}
 TRIANGLE_BOUNDARY = {
     "dimension": 1,
-    "group": MULTIVECTOR_1,
+    "group": {"kind": "multivector", "ambient_dim": 2, "grade": 1},
     "terms": [
         {"simplex": [0, 1], "coeff": [1.0, 0.0]},
         {"simplex": [1, 2], "coeff": [-math.sqrt(0.5), math.sqrt(0.5)]},
@@ -114,8 +113,6 @@ def _mismatch(got, want, where="$"):
     if isinstance(want, float) or isinstance(got, float):
         if type(got) not in (int, float) or type(want) not in (int, float):
             return f"{where}: {got!r} != {want!r}"
-        if math.isnan(want) and math.isnan(got):
-            return None
         if not math.isclose(got, want, rel_tol=REL_TOL, abs_tol=ABS_TOL):
             return f"{where}: {got!r} != {want!r}"
         return None
