@@ -326,3 +326,65 @@ def test_chain_json_round_trip():
     # scalar group round trip
     C = make_chain(K, 1, REALS, [((0, 2), -1.25)])
     assert chain_from_json(K, chain_to_json(C)).allclose(C)
+
+
+# ---------------------------------------------------------------------------
+# integer and subgroup coefficients
+
+def two_triangles():
+    return build_complex([[0, 0], [1, 0], [0, 1], [1, 1]], [(0, 1, 2), (1, 2, 3)])
+
+
+def test_integer_boundary_is_exact():
+    K = two_triangles()
+    big = 2**31 - 1
+    Z = make_chain(K, 2, INTS, [((0, 1, 2), big), ((1, 2, 3), 5 - big)])
+    terms = chain_to_json(boundary(Z))["terms"]
+    assert terms == [
+        {"simplex": [0, 1], "coeff": big},
+        {"simplex": [0, 2], "coeff": -big},
+        {"simplex": [1, 2], "coeff": 5},
+        {"simplex": [1, 3], "coeff": big - 5},
+        {"simplex": [2, 3], "coeff": 5 - big},
+    ]
+    assert all(type(t["coeff"]) is int for t in terms)
+
+
+def test_subgroup_term_resolving_to_zero_is_dropped():
+    K = triangle_complex()
+    H = SubgroupWithNorm(REALS, [2.0, 3.0])
+    # coordinates (3, -2) resolve to 3*2 - 2*3 = 0
+    assert make_chain(K, 1, H, [((0, 1), (3, -2))]).is_zero()
+    A = make_chain(K, 1, H, [((0, 1), (2, 0))])
+    B = make_chain(K, 1, H, [((1, 0), (-1, 2))])
+    assert not A.is_zero() and not B.is_zero()
+    assert combine(A, B, 1).is_zero()
+
+
+def test_subgroup_boundary_and_transport_add_coordinates():
+    K = two_triangles()
+    H = SubgroupWithNorm(REALS, [2.0, 3.0])
+    A = make_chain(K, 2, H, [((0, 1, 2), (1, 2)), ((1, 2, 3), (3, -1))])
+    dA = boundary(A)
+    coords = {tuple(t["simplex"]): t["coeff"] for t in chain_to_json(dA)["terms"]}
+    assert coords == {
+        (0, 1): [1, 2], (0, 2): [-1, -2], (1, 2): [4, 1], (1, 3): [-3, 1], (2, 3): [3, -1]
+    }
+    refined, corr = subdivide(K, "barycentric")
+    A2 = transport_chain(A, corr)
+    assert {tuple(t["coeff"]) for t in chain_to_json(A2)["terms"]} <= {
+        (1, 2), (-1, -2), (3, -1), (-3, 1)
+    }
+    assert chain_to_json(boundary(A2)) == chain_to_json(transport_chain(dA, corr))
+
+
+def test_integer_coefficients_beyond_int32_rejected():
+    K = triangle_complex()
+    H = SubgroupWithNorm(REALS, [2.0, 3.0])
+    for n in (2**31, -2**31, 10**20):
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            make_chain(K, 1, INTS, [((0, 1), n)])
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            make_chain(K, 1, H, [((0, 1), (n, 0))])
+    assert not make_chain(K, 1, INTS, [((0, 1), 2**31 - 1)]).is_zero()
+    assert not make_chain(K, 1, INTS, [((0, 1), 1 - 2**31)]).is_zero()

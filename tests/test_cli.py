@@ -235,6 +235,51 @@ def test_malformed_document_is_exit_two(tmp_path, capsys, complex_doc, varifold_
     assert "polycal: error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        [1, 2],
+        {"max_iter": "50"},
+        {"max_iter": 0},
+        {"max_iter": True},
+        {"check_every": 0},
+        {"stall_checks": 1.5},
+        {"seed": "7"},
+        {"primal_tol": 0.0},
+        {"obj_tol": float("nan")},
+        {"stall_tol": -1e-10},
+        {"relax": 2.0},
+        {"relax": 0},
+    ],
+)
+def test_malformed_solver_config_is_exit_two(tmp_path, capsys, config):
+    K, V, gamma = generate_example("y_line")
+    cpath = write(tmp_path, "complex.json", K.to_json(gamma))
+    bpath = write(tmp_path, "boundary.json", chain_to_json(boundary(chainify(V))))
+    spath = write(tmp_path, "solver.json", config)
+    assert main(["minimize", "--in", cpath, "--in", bpath, "--solver-config", spath]) == 2
+    assert "polycal: error" in capsys.readouterr().err
+
+
+def test_integer_coefficient_beyond_int32_is_exit_two(tmp_path, capsys):
+    K = build_complex([[0, 0], [1, 0], [0, 1]], [(0, 1, 2)])
+    cpath = write(tmp_path, "complex.json", K.to_json())
+    chain = {"dimension": 1, "group": {"kind": "integer"},
+             "terms": [{"simplex": [0, 1], "coeff": 2**31}]}
+    chpath = write(tmp_path, "chain.json", chain)
+    assert main(["flatnorm", "--in", cpath, "--in", chpath]) == 2
+    assert "2**31" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("refine", ["0", "2"])
+def test_tiny_cone_certifies(tmp_path, capsys, refine):
+    bundle = str(tmp_path / "cone.json")
+    argv = ["demo", "tetrahedral_cone", "--radius", "1e-5", "--refine", refine, "--out", bundle]
+    assert main(argv) == 0
+    code, cert = run_cli(capsys, "certify", "--in", bundle)
+    assert (code, cert["conclusion"]) == (0, "calibrated-minimizer")
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_nonfinite_input_is_exit_two(tmp_path, capsys, bad):
     cpath = write(tmp_path, "complex.json",

@@ -13,6 +13,7 @@ from polycal.complexes import (
     subdivide,
     validate_geometry,
 )
+from polycal.exterior_algebra import Multivector
 
 
 def segment_triangle_intersects(p0, p1, tri, tol=1e-12):
@@ -69,6 +70,16 @@ def test_nonfinite_vertices_rejected():
             build_complex([[0, 0], [1, bad], [0, 1]], [(0, 1)])
         with pytest.raises(ValueError, match="finite"):
             EmbeddedComplex([[0, 0], [bad, 0]], [[(0,), (1,)]])
+
+
+def test_degeneracy_is_relative_to_the_simplex_scale():
+    for s in (1e-5, 1.0, 1e5):
+        K = build_complex(s * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), [(0, 1, 2)])
+        assert K.unit_blade(2, 0).allclose(Multivector.basis_blade(2, (0, 1)))
+        _, _, dropped, _ = pushforward_complex(K, K.vertices)
+        assert dropped == []
+        with pytest.raises(ValueError, match="degenerate"):
+            build_complex(s * np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1e-12]]), [(0, 1, 2)])
 
 
 def test_ids_are_sorted_and_deterministic():

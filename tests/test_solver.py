@@ -121,6 +121,11 @@ def test_solver_is_deterministic():
     assert r1.primal_residual == r2.primal_residual
 
 
+def test_solver_config_ignores_unknown_keys():
+    cfg = SolverConfig.from_json({"max_iter": 10, "relax": 1.5, "comment": "fast"})
+    assert (cfg.max_iter, cfg.relax, cfg.check_every) == (10, 1.5, 100)
+
+
 # ---------------------------------------------------------------------------
 # flat norm
 

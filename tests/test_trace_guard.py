@@ -38,6 +38,8 @@ def test_trace_targets_resolve_and_record(tmp_path):
     originals = {name: _resolve(*name) for name in names}
     bundle = str(tmp_path / "bundle.json")
     assert polycal.cli.main(["demo", "tetrahedral_cone", "--out", bundle]) == 0
+    y_bundle = str(tmp_path / "y_line.json")
+    assert polycal.cli.main(["demo", "y_line", "--out", y_bundle]) == 0
     tracer = layertrace.Tracer()
     tracer.install()
     try:
@@ -47,14 +49,23 @@ def test_trace_targets_resolve_and_record(tmp_path):
         out = str(tmp_path / "cert.json")
         assert polycal.cli.main(["certify", "--in", bundle, "--out", out]) == 0
         summary = tracer.op_summary(wall=1.0)
+        # the solver path: subdivision, chain transport and the min-mass solve
+        tracer.begin_op()
+        y_out = str(tmp_path / "y_cert.json")
+        assert polycal.cli.main(["certify", "--in", y_bundle, "--with-solver", "--out", y_out]) == 0
+        solver_summary = tracer.op_summary(wall=1.0)
     finally:
         tracer.uninstall()
     for name in names:
         assert _resolve(*name) is originals[name], f"{name} was not restored"
-    with open(out) as handle:
-        assert json.load(handle)["conclusion"] == "calibrated-minimizer"
+    for path in (out, y_out):
+        with open(path) as handle:
+            assert json.load(handle)["conclusion"] == "calibrated-minimizer"
     for span in ("cli.load", "cli.emit", "complexes.build", "complexes.geometry",
                  "varifolds.stationarity", "chains.boundary", "calibration.minimality_certificate"):
         assert span in summary["self"], span
     assert summary["counts"]["complexes.geometry.blades"] > 0
     assert summary["counts"]["chains.terms"] > 0
+    assert solver_summary["counts"]["solver.iterations"] > 0
+    for span in ("complexes.subdivide", "chains.transport", "solver.min_mass"):
+        assert span in solver_summary["self"], span
