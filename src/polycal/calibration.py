@@ -31,7 +31,7 @@ from .chains import (
     transport_chain,
 )
 from .complexes import BoundaryRegion, EmbeddedComplex, subdivide
-from .exterior_algebra import Multivector
+from .exterior_algebra import rowdot
 from .groups import MultivectorGroup, group_to_json
 from .solver import MinMassProblem, SolverConfig, min_mass_fixed_boundary, flat_norm_solve
 from .varifolds import PolyhedralVarifold, stationarity, varifold_to_json
@@ -52,11 +52,10 @@ def _require_matching_group(A: Chain):
 def phi(A: Chain) -> float:
     """The calibration functional; additive in the chain."""
     _require_matching_group(A)
+    if A.is_zero():
+        return 0.0
     K, m = A.complex, A.dimension
-    vols = K.volumes(m) if A.coeffs else None
-    return float(
-        sum(g.inner(K.unit_blade(m, sid)) * vols[sid] for sid, g in A.coeffs.items())
-    )
+    return float(K.volumes(m)[A.ids] @ rowdot(A.coeffs, K.unit_blades(m)[A.ids]))
 
 
 @dataclass
@@ -140,10 +139,10 @@ def _calibration_checks(A: Chain, tol: float):
             tol=tol * scale,
         ),
     ]
-    worst = 0.0
-    for sid, g in A.coeffs.items():
-        aligned = K.unit_blade(m, sid) * g.norm()
-        worst = max(worst, (g - aligned).norm() / max(1.0, g.norm()))
+    norms = A.group.norms(A.coeffs)
+    aligned = K.unit_blades(m)[A.ids] * norms[:, None]
+    misalignment = np.linalg.norm(A.coeffs - aligned, axis=1) / np.maximum(1.0, norms)
+    worst = float(misalignment.max(initial=0.0))
     checks.append(
         CheckResult(
             name="per-simplex-alignment",
@@ -208,15 +207,11 @@ def check_stokes(K: EmbeddedComplex, m: int, trials: int = 100, tol: float = 1e-
     rng = np.random.default_rng(seed)
     G = MultivectorGroup(K.ambient_dim, m)
     n = K.n_simplices(m + 1)
-    width = len(G.zero().coeffs)
     worst = 0.0
     for _ in range(trials):
         size = int(rng.integers(1, n + 1))
         picks = rng.choice(n, size=size, replace=False)
-        terms = [
-            (K.simplex_tuple(m + 1, int(i)), Multivector(K.ambient_dim, m, rng.standard_normal(width)))
-            for i in picks
-        ]
+        terms = [(K.simplex_tuple(m + 1, int(i)), rng.standard_normal(G.width)) for i in picks]
         Q = make_chain(K, m + 1, G, terms)
         residual = abs(phi(boundary(Q))) / (1.0 + mass(Q))
         worst = max(worst, residual)
@@ -311,14 +306,13 @@ def minimality_certificate(
             tol=tol,
         )
     ]
-    interior = {
-        sid: dA.group.norm(g) for sid, g in sorted(dA.coeffs.items()) if sid not in gamma.face_ids
-    }
+    interior = ~np.isin(dA.ids, list(gamma.face_ids))
+    interior_norms = dA.group.norms(dA.coeffs[interior])
     checks.append(
         CheckResult(
             name="boundary-support",
             passed=is_supported_in(dA, gamma, tol=tol),
-            residual=max(interior.values(), default=0.0),
+            residual=float(interior_norms.max(initial=0.0)),
             tol=tol,
         )
     )
@@ -361,7 +355,7 @@ def minimality_certificate(
     subject = "varifold:" + _digest(varifold_to_json(V))
     offending = [
         {"face": list(K.simplex_tuple(V.dimension - 1, sid)), "coefficient_norm": norm}
-        for sid, norm in interior.items()
+        for sid, norm in zip(dA.ids[interior].tolist(), interior_norms.tolist())
         if norm > tol
     ]
     prov = _provenance(

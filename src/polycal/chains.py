@@ -1,15 +1,17 @@
 """Polyhedral m-chains on a complex with coefficients in a normed group.
 
-A chain is a sparse map from canonical m-simplex ids to nonzero group
-elements.  User-facing orientations (arbitrary vertex orderings) are folded
-into coefficient signs at construction, which realizes the equivalence of
-formal sums modulo orientation reversal; subdivision equivalence is realized
-by :func:`transport_chain`.
+A chain is two arrays: the increasing canonical m-simplex ids that carry a
+nonzero group element, and the stack of those elements' rows.  User-facing
+orientations (arbitrary vertex orderings) are folded into coefficient signs at
+construction, which realizes the equivalence of formal sums modulo orientation
+reversal; subdivision equivalence is realized by :func:`transport_chain`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import config
 from .complexes import (
@@ -35,24 +37,35 @@ def permutation_sign(seq) -> int:
 
 
 class Chain:
-    """Dimension-m chain; treat instances as immutable values."""
+    """Dimension-m chain ``(ids, coeffs)``; treat instances as immutable values.
 
-    __slots__ = ("complex", "dimension", "group", "coeffs")
+    ``ids`` are the strictly increasing ids of the m-simplices with a nonzero
+    coefficient and ``coeffs`` the (len(ids), width) stack of their group
+    rows.  ``Chain(K, m, G)`` is the zero chain.
+    """
 
-    def __init__(self, complex: EmbeddedComplex, dimension: int, group: CoefficientGroup, coeffs=None):
+    __slots__ = ("complex", "dimension", "group", "ids", "coeffs")
+
+    def __init__(self, complex: EmbeddedComplex, dimension: int, group: CoefficientGroup,
+                 ids=(), coeffs=None):
         if dimension < 0:
             raise ValueError("chain dimension must be nonnegative")
-        coeffs = dict(coeffs or {})
+        ids = np.asarray(ids, dtype=np.intp).reshape(-1)
+        if coeffs is None:
+            coeffs = np.zeros((0, group.width), dtype=group.dtype)
+        if coeffs.shape != (ids.size, group.width):
+            raise ValueError("chain needs one coefficient row per simplex id")
         n = complex.n_simplices(dimension)
-        if coeffs and any(not 0 <= i < n for i in coeffs):
-            raise ValueError(f"coefficient on a non-simplex of dimension {dimension}")
+        if ids.size and (ids[0] < 0 or ids[-1] >= n or np.any(np.diff(ids) <= 0)):
+            raise ValueError(f"simplex ids must increase strictly within 0..{n - 1}")
         self.complex = complex
         self.dimension = dimension
         self.group = group
+        self.ids = ids
         self.coeffs = coeffs
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return self.ids.size == 0
 
     def allclose(self, other: "Chain", tol=None) -> bool:
         if (
@@ -61,25 +74,33 @@ class Chain:
             or self.group != other.group
         ):
             return False
-        ids = set(self.coeffs) | set(other.coeffs)
-        g = self.group
-        for i in ids:
-            a = self.coeffs.get(i, g.zero())
-            b = other.coeffs.get(i, g.zero())
-            if not g.equal(a, b, tol):
-                return False
-        return True
+        _, diff = _summed(
+            np.concatenate([self.ids, other.ids]),
+            np.concatenate([self.coeffs, -other.coeffs]),
+            self.group,
+        )
+        return bool(np.all(self.group.zero_rows(diff, tol)))
 
     def __repr__(self):
         return (
-            f"Chain(dim={self.dimension}, terms={len(self.coeffs)}, "
+            f"Chain(dim={self.dimension}, terms={self.ids.size}, "
             f"group={self.group.descriptor()['kind']})"
         )
 
 
-def _canonical(complex, dimension, group, accumulator) -> Chain:
-    coeffs = {i: g for i, g in accumulator.items() if not group.is_zero(g)}
-    return Chain(complex, dimension, group, coeffs)
+def _summed(ids, rows, G):
+    """Distinct sorted ids and the summed rows of each."""
+    ids, inverse = np.unique(ids, return_inverse=True)
+    out = np.zeros((ids.size, G.width), dtype=G.dtype)
+    np.add.at(out, inverse, rows)
+    return ids, out
+
+
+def _canonical(K, m, G, ids, rows) -> Chain:
+    """The chain of terms (ids[i], rows[i]): repeats summed, zeros dropped."""
+    ids, rows = _summed(ids, rows, G)
+    keep = ~G.zero_rows(rows)
+    return Chain(K, m, G, ids[keep], rows[keep])
 
 
 def make_chain(K: EmbeddedComplex, m: int, G: CoefficientGroup, terms) -> Chain:
@@ -88,19 +109,18 @@ def make_chain(K: EmbeddedComplex, m: int, G: CoefficientGroup, terms) -> Chain:
     Tuples may come in any vertex order; odd permutations negate the
     coefficient.  Repeated simplices are summed in G and zeros dropped.
     """
-    acc = {}
+    ids, rows = [], []
     for raw_tuple, raw_coeff in terms:
         t = tuple(int(v) for v in raw_tuple)
         if len(set(t)) != len(t):
             raise ValueError(f"{t} repeats a vertex")
         if len(t) != m + 1:
             raise ValueError(f"{t} is not an {m}-simplex")
-        d, sid = K.simplex_id(tuple(sorted(t)))
+        ids.append(K.simplex_id(tuple(sorted(t)))[1])
         g = G.coerce(raw_coeff)
-        if permutation_sign(t) < 0:
-            g = G.neg(g)
-        acc[sid] = G.add(acc[sid], g) if sid in acc else g
-    return _canonical(K, m, G, acc)
+        rows.append(g if permutation_sign(t) > 0 else G.neg(g))
+    rows = np.array(rows, dtype=G.dtype).reshape(-1, G.width)
+    return _canonical(K, m, G, ids, rows)
 
 
 def combine(a: Chain, b: Chain, sign: int = 1) -> Chain:
@@ -113,12 +133,13 @@ def combine(a: Chain, b: Chain, sign: int = 1) -> Chain:
         raise ValueError("coefficient group mismatch")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    G = a.group
-    acc = dict(a.coeffs)
-    for i, g in b.coeffs.items():
-        h = g if sign == 1 else G.neg(g)
-        acc[i] = G.add(acc[i], h) if i in acc else h
-    return _canonical(a.complex, a.dimension, G, acc)
+    return _canonical(
+        a.complex,
+        a.dimension,
+        a.group,
+        np.concatenate([a.ids, b.ids]),
+        np.concatenate([a.coeffs, b.coeffs if sign == 1 else -b.coeffs]),
+    )
 
 
 def boundary(A: Chain) -> Chain:
@@ -126,23 +147,16 @@ def boundary(A: Chain) -> Chain:
     if A.dimension < 1:
         raise ValueError("boundary needs chain dimension >= 1")
     K, G, m = A.complex, A.group, A.dimension
-    acc = {}
-    face_table = K.faces[m]
-    for sid, g in A.coeffs.items():
-        neg = G.neg(g)
-        for j in range(m + 1):
-            fid = int(face_table[sid, j])
-            h = g if j % 2 == 0 else neg
-            acc[fid] = G.add(acc[fid], h) if fid in acc else h
-    return _canonical(K, m - 1, G, acc)
+    signs = np.where(np.arange(m + 1) % 2, -1, 1)
+    rows = A.coeffs[:, None, :] * signs[None, :, None]
+    return _canonical(K, m - 1, G, K.faces[m][A.ids].reshape(-1), rows.reshape(-1, G.width))
 
 
 def mass(A: Chain) -> float:
     """Weighted area: sum of |g_sigma| * H^m(sigma)."""
     if A.is_zero():
         return 0.0
-    vols = A.complex.volumes(A.dimension)
-    return float(sum(A.group.norm(g) * vols[i] for i, g in A.coeffs.items()))
+    return float(A.complex.volumes(A.dimension)[A.ids] @ A.group.norms(A.coeffs))
 
 
 def is_supported_in(A: Chain, gamma: BoundaryRegion, tol=None) -> bool:
@@ -152,23 +166,17 @@ def is_supported_in(A: Chain, gamma: BoundaryRegion, tol=None) -> bool:
             f"chain has dimension {A.dimension} but region holds "
             f"{gamma.face_dim}-faces"
         )
-    for i, g in A.coeffs.items():
-        if A.group.norm(g) > config.zero_tol(tol) and i not in gamma.face_ids:
-            return False
-    return True
+    outside = ~np.isin(A.ids, list(gamma.face_ids))
+    return not np.any(A.group.norms(A.coeffs[outside]) > config.zero_tol(tol))
 
 
 def transport_chain(A: Chain, corr: SubdivisionMap) -> Chain:
     """Re-express a chain on the refinement; mass and orientation preserved."""
     if corr.src is not A.complex:
         raise ValueError("subdivision map was built for a different complex")
-    G = A.group
-    acc = {}
-    for sid, g in A.coeffs.items():
-        for cid, sign in corr.children[(A.dimension, sid)]:
-            h = g if sign > 0 else G.neg(g)
-            acc[cid] = G.add(acc[cid], h) if cid in acc else h
-    return _canonical(corr.dst, A.dimension, G, acc)
+    children = corr.matrices[A.dimension][:, A.ids].tocoo()
+    rows = A.coeffs[children.col] * children.data[:, None]
+    return _canonical(corr.dst, A.dimension, A.group, children.row, rows)
 
 
 @dataclass
@@ -193,10 +201,12 @@ def pushforward_chain(
         A.complex, images, frozen=frozen, gamma=gamma, tol=tol
     )
     d = A.dimension
-    coeffs = {smap[(d, i)]: g for i, g in A.coeffs.items() if smap[(d, i)] is not None}
-    dropped = [(d, i) for i in A.coeffs if smap[(d, i)] is None]
+    new_ids = [smap[(d, int(i))] for i in A.ids]
+    kept = np.array([j is not None for j in new_ids], dtype=bool)
+    chain = Chain(image, d, A.group, [j for j in new_ids if j is not None], A.coeffs[kept])
+    dropped = [(d, int(i)) for i in A.ids[~kept]]
     return PushforwardResult(
-        chain=Chain(image, A.dimension, A.group, coeffs),
+        chain=chain,
         complex=image,
         simplex_map=smap,
         dropped=dropped,
@@ -216,17 +226,17 @@ def retag_chain(A: Chain, H: SubgroupWithNorm, budget: float = None) -> Chain:
         raise ValueError("chain group does not match the subgroup's ambient group")
     if budget is None:
         budget = 4.0 * max(H.generator_norms)
-    coeffs = {}
-    for sid, g in A.coeffs.items():
+    rows = []
+    for sid, g in zip(A.ids, A.coeffs):
         found = H.represent(g, budget=budget)
         if found is None:
             raise ValueError(
                 f"coefficient on simplex {sid} is not representable over the "
                 f"generators within budget {budget}"
             )
-        coords, _ = found
-        coeffs[sid] = H.element(coords)
-    return Chain(A.complex, A.dimension, H, coeffs)
+        rows.append(found[0])
+    rows = np.array(rows, dtype=H.dtype).reshape(-1, H.width)
+    return Chain(A.complex, A.dimension, H, A.ids, rows)
 
 
 def chain_to_json(A: Chain) -> dict:
@@ -239,7 +249,7 @@ def chain_to_json(A: Chain) -> dict:
                 "simplex": list(K.simplex_tuple(A.dimension, sid)),
                 "coeff": A.group.coeff_to_json(g),
             }
-            for sid, g in sorted(A.coeffs.items())
+            for sid, g in zip(A.ids, A.coeffs)
         ],
     }
 
@@ -247,7 +257,7 @@ def chain_to_json(A: Chain) -> dict:
 def chain_from_json(K: EmbeddedComplex, doc: dict) -> Chain:
     G = group_from_json(doc["group"])
     terms = [
-        (term["simplex"], G.coeff_from_json(term["coeff"]))
+        (term["simplex"], G.coerce(term["coeff"]))
         for term in json_list(doc, "terms", dict)
     ]
     return make_chain(K, int(doc["dimension"]), G, terms)

@@ -9,8 +9,8 @@ and assigns deterministic ids (lexicographic order per dimension).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,8 +21,27 @@ from .exterior_algebra import (
     DegenerateSimplexError,
     Multivector,
     blade_of_points,
+    rowdot,
     volume_of_points,
 )
+
+
+def _stacked(coords, tuples, d: int) -> np.ndarray:
+    """Coordinates of the given d-simplices, stacked (len(tuples), d+1, N)."""
+    return coords[np.array(tuples, dtype=np.intp).reshape(-1, d + 1)]
+
+
+def degenerate(points, tol=None) -> np.ndarray:
+    """Which of the stacked (..., m+1, N) simplices are flat at their own scale.
+
+    A simplex is degenerate when volume <= tol * longest_edge^m, so the test
+    does not change under uniform scaling; vertices (m = 0) never are.
+    """
+    points = np.asarray(points, dtype=float)
+    m = points.shape[-2] - 1
+    diffs = points[..., :, None, :] - points[..., None, :, :]
+    longest = np.sqrt(np.max(np.sum(diffs * diffs, axis=-1), axis=(-2, -1)))
+    return volume_of_points(points) <= config.zero_tol(tol) * longest**m
 
 
 class EmbeddedComplex:
@@ -77,7 +96,7 @@ class EmbeddedComplex:
                 for j in range(d + 1):
                     self.cofaces[d - 1][self.faces[d][i, j]].append((i, j))
         self._volumes = [None] * len(self.simplices)
-        self._unit_blades = [dict() for _ in self.simplices]
+        self._unit_blades = [None] * len(self.simplices)
         self._boundary_matrices = {}
 
     @property
@@ -105,15 +124,10 @@ class EmbeddedComplex:
         d = len(t) - 1
         return 0 <= d <= self.dim and t in self._ids[d]
 
-    def points_of(self, d: int, sid: int) -> np.ndarray:
-        return self.vertices[list(self.simplices[d][sid])]
-
     def volumes(self, d: int) -> np.ndarray:
         """H^d measures of all d-simplices (cached)."""
         if self._volumes[d] is None:
-            vols = np.array(
-                [volume_of_points(self.points_of(d, i)) for i in range(self.n_simplices(d))]
-            )
+            vols = volume_of_points(_stacked(self.vertices, self.simplices[d], d))
             vols.setflags(write=False)
             self._volumes[d] = vols
         return self._volumes[d]
@@ -121,26 +135,27 @@ class EmbeddedComplex:
     def volume(self, d: int, sid: int) -> float:
         return float(self.volumes(d)[sid])
 
-    def unit_blade(self, d: int, sid: int) -> Multivector:
-        """Unit simple d-vector of the canonically oriented simplex (cached).
+    def unit_blades(self, d: int) -> np.ndarray:
+        """Unit simple d-vectors of all canonically oriented d-simplices (cached).
 
-        Grade 0 simplices get the scalar 1.
+        One row of C(N, d) coefficients per simplex; grade 0 is the scalar 1.
         """
-        cache = self._unit_blades[d]
-        got = cache.get(sid)
-        if got is None:
-            if d == 0:
-                got = Multivector.scalar(self.ambient_dim, 1.0)
-            else:
-                blade = blade_of_points(self.points_of(d, sid))
-                scale = blade.norm()
-                if scale / math.factorial(d) <= config.ZERO_TOL:
-                    raise DegenerateSimplexError(
-                        f"simplex {(d, sid)} is geometrically degenerate"
-                    )
-                got = blade * (1.0 / scale)
-            cache[sid] = got
-        return got
+        if self._unit_blades[d] is None:
+            points = _stacked(self.vertices, self.simplices[d], d)
+            flat = np.flatnonzero(degenerate(points))
+            if flat.size:
+                raise DegenerateSimplexError(
+                    f"simplex {(d, int(flat[0]))} is geometrically degenerate"
+                )
+            blades = blade_of_points(points)
+            blades = blades * (1.0 / np.linalg.norm(blades, axis=1))[:, None]
+            blades.setflags(write=False)
+            self._unit_blades[d] = blades
+        return self._unit_blades[d]
+
+    def unit_blade(self, d: int, sid: int) -> Multivector:
+        """Unit simple d-vector of one canonically oriented simplex."""
+        return Multivector(self.ambient_dim, d, self.unit_blades(d)[sid])
 
     def maximal_simplices(self):
         """(d, id) pairs with no coface."""
@@ -156,16 +171,12 @@ class EmbeddedComplex:
         if d not in self._boundary_matrices:
             if not 1 <= d <= self.dim:
                 raise ValueError(f"no {d}-simplices to take a boundary of")
-            rows, cols, vals = [], [], []
-            for i in range(self.n_simplices(d)):
-                for j in range(d + 1):
-                    rows.append(self.faces[d][i, j])
-                    cols.append(i)
-                    vals.append(-1.0 if j % 2 else 1.0)
-            mat = sparse.csr_matrix(
-                (vals, (rows, cols)), shape=(self.n_simplices(d - 1), self.n_simplices(d))
+            n = self.n_simplices(d)
+            vals = np.tile(np.where(np.arange(d + 1) % 2, -1.0, 1.0), n)
+            cols = np.repeat(np.arange(n), d + 1)
+            self._boundary_matrices[d] = sparse.csr_matrix(
+                (vals, (self.faces[d].ravel(), cols)), shape=(self.n_simplices(d - 1), n)
             )
-            self._boundary_matrices[d] = mat
         return self._boundary_matrices[d]
 
     def to_json(self, gamma=None) -> dict:
@@ -255,16 +266,20 @@ def build_complex(vertices, top_simplices, ambient_dim=None) -> EmbeddedComplex:
     max_dim = max((len(t) - 1 for t in canon), default=0)
     by_dim = [set() for _ in range(max_dim + 1)]
     for t in canon:
-        d = len(t) - 1
-        if d >= 1 and volume_of_points(vertices[list(t)]) <= config.ZERO_TOL:
-            raise ValueError(f"top simplex {t} is geometrically degenerate")
-        by_dim[d].add(t)
+        by_dim[len(t) - 1].add(t)
     # face closure
     for d in range(max_dim, 0, -1):
         for t in by_dim[d]:
             for j in range(d + 1):
                 by_dim[d - 1].add(t[:j] + t[j + 1 :])
-    return EmbeddedComplex(vertices, by_dim)
+    # the complex rejects non-finite vertices, which would trip the flatness test
+    K = EmbeddedComplex(vertices, by_dim)
+    for d in range(1, max_dim + 1):
+        tops = [t for t in canon if len(t) == d + 1]
+        flat = np.flatnonzero(degenerate(_stacked(K.vertices, tops, d)))
+        if flat.size:
+            raise ValueError(f"top simplex {tops[flat[0]]} is geometrically degenerate")
+    return K
 
 
 def json_list(doc, key, item=object):
@@ -367,12 +382,12 @@ def validate_geometry(K: EmbeddedComplex, tol: float = 1e-7) -> GeometryReport:
     checked = 0
     boxes = []
     for d, i in maximal:
-        pts = K.points_of(d, i)
+        pts = K.vertices[list(K.simplex_tuple(d, i))]
         boxes.append((pts.min(axis=0), pts.max(axis=0)))
     for a in range(len(maximal)):
         da, ia = maximal[a]
         ta = K.simplex_tuple(da, ia)
-        pa = K.points_of(da, ia)
+        pa = K.vertices[list(ta)]
         for b in range(a + 1, len(maximal)):
             db, ib = maximal[b]
             lo_a, hi_a = boxes[a]
@@ -380,7 +395,7 @@ def validate_geometry(K: EmbeddedComplex, tol: float = 1e-7) -> GeometryReport:
             if np.any(lo_a > hi_b + tol) or np.any(lo_b > hi_a + tol):
                 continue
             tb = K.simplex_tuple(db, ib)
-            pb = K.points_of(db, ib)
+            pb = K.vertices[list(tb)]
             shared = set(ta) & set(tb)
             shared_a = {k for k, v in enumerate(ta) if v in shared}
             shared_b = {k for k, v in enumerate(tb) if v in shared}
@@ -398,60 +413,45 @@ def validate_geometry(K: EmbeddedComplex, tol: float = 1e-7) -> GeometryReport:
 class SubdivisionMap:
     """Correspondence from parent simplices to oriented children.
 
-    ``children[(d, parent_id)]`` lists ``(child_id, sign)`` pairs where sign
-    relates the child's canonical orientation to the parent's.
+    ``matrices[d]`` is the sparse (children x parents) matrix of the
+    d-simplices: entry +1 or -1 where the child lies in the parent, the sign
+    relating the child's canonical orientation to the parent's.
     """
 
     src: EmbeddedComplex
     dst: EmbeddedComplex
-    children: dict
-
-
-def _orientation_sign(K_src, K_dst, d, parent_id, child_id) -> int:
-    if d == 0:
-        return 1
-    s = K_src.unit_blade(d, parent_id).inner(K_dst.unit_blade(d, child_id))
-    if abs(abs(s) - 1.0) > 1e-6:
-        raise RuntimeError(f"child {child_id} not parallel to parent {parent_id}")
-    return 1 if s > 0 else -1
+    matrices: list
 
 
 def _assemble_subdivision(K, new_vertices, raw_children):
     """Build the refined complex from child tuples and resolve ids/signs."""
-    top = []
-    for tuples in raw_children.values():
-        top.extend(tuples)
-    refined = build_complex(new_vertices, top)
-    children = {}
-    for (d, sid), tuples in raw_children.items():
-        entries = []
-        for t in tuples:
-            cd, cid = refined.simplex_id(t)
-            entries.append((cid, _orientation_sign(K, refined, d, sid, cid)))
-        children[(d, sid)] = entries
-    return refined, SubdivisionMap(src=K, dst=refined, children=children)
+    refined = build_complex(new_vertices, [t for kids in raw_children.values() for t in kids])
+    matrices = []
+    for d in range(K.dim + 1):
+        parents, kids = [], []
+        for sid in range(K.n_simplices(d)):
+            for t in raw_children[(d, sid)]:
+                parents.append(sid)
+                kids.append(refined.simplex_id(t)[1])
+        dots = rowdot(K.unit_blades(d)[parents], refined.unit_blades(d)[kids])
+        skew = np.flatnonzero(np.abs(np.abs(dots) - 1.0) > 1e-6)
+        if skew.size:
+            raise RuntimeError(f"child {kids[skew[0]]} not parallel to parent {parents[skew[0]]}")
+        signs = np.where(dots > 0, 1, -1).astype(np.int8)
+        shape = (refined.n_simplices(d), K.n_simplices(d))
+        matrices.append(sparse.csc_matrix((signs, (kids, parents)), shape=shape))
+    return refined, SubdivisionMap(src=K, dst=refined, matrices=matrices)
 
 
 def _barycentric(K: EmbeddedComplex):
-    nv = K.vertices.shape[0]
-    new_vertices = [K.vertices]
-    bary_index = {}
-    counter = nv
-    for d in range(1, K.dim + 1):
-        centers = np.array(
-            [K.points_of(d, i).mean(axis=0) for i in range(K.n_simplices(d))]
-        )
-        if centers.size:
-            new_vertices.append(centers)
-        for i in range(K.n_simplices(d)):
-            bary_index[(d, i)] = counter
-            counter += 1
-    new_vertices = np.vstack(new_vertices) if len(new_vertices) > 1 else K.vertices
+    # the barycenters of the d-simplices (d >= 1) follow the old vertices,
+    # in order of dimension and id; first[d] numbers the first of them
+    centers = [_stacked(K.vertices, K.simplices[d], d).mean(axis=1) for d in range(1, K.dim + 1)]
+    new_vertices = np.vstack([K.vertices] + centers)
+    first = [0] + list(itertools.accumulate([len(K.vertices)] + [len(c) for c in centers]))
 
     def vertex_of(d, sid):
-        if d == 0:
-            return K.simplex_tuple(0, sid)[0]
-        return bary_index[(d, sid)]
+        return K.simplex_tuple(0, sid)[0] if d == 0 else first[d] + sid
 
     flags_cache = {}
 
@@ -555,9 +555,9 @@ def pushforward_complex(K: EmbeddedComplex, images, frozen=(), gamma=None, tol=N
     dropped = []
     for d in range(K.dim + 1):
         level = []
-        for sid in range(K.n_simplices(d)):
-            t = K.simplex_tuple(d, sid)
-            if d >= 1 and volume_of_points(coords[list(t)]) <= tol:
+        flat = degenerate(_stacked(coords, K.simplices[d], d), tol)
+        for sid, t in enumerate(K.simplices[d]):
+            if flat[sid]:
                 simplex_map[(d, sid)] = None
                 dropped.append((d, sid))
             else:

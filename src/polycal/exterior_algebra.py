@@ -3,9 +3,9 @@
 Grade-m multivectors are stored as dense vectors over the lexicographically
 ordered basis ``e_{i1} ^ ... ^ e_{im}`` with ``i1 < ... < im``, which is
 orthonormal for the Euclidean inner product used throughout.  The module also
-provides the point kernels behind simplex geometry: the (unnormalized) blade
-spanned by a simplex's edge vectors and its m-dimensional Hausdorff measure;
-``EmbeddedComplex.unit_blade`` and ``volumes`` build on them.
+provides the batched point kernels behind simplex geometry: the (unnormalized)
+blade spanned by a simplex's edge vectors and its m-dimensional Hausdorff
+measure; ``EmbeddedComplex.unit_blades`` and ``volumes`` build on them.
 """
 
 from __future__ import annotations
@@ -97,10 +97,6 @@ class Multivector:
         return cls(ambient_dim, grade, np.zeros(math.comb(ambient_dim, grade)))
 
     @classmethod
-    def scalar(cls, ambient_dim: int, value: float) -> "Multivector":
-        return cls(ambient_dim, 0, [float(value)])
-
-    @classmethod
     def basis_blade(cls, ambient_dim: int, indices, coefficient: float = 1.0) -> "Multivector":
         indices = tuple(indices)
         grade = len(indices)
@@ -151,12 +147,6 @@ class Multivector:
             return False
         return bool(np.allclose(self.coeffs, other.coeffs, rtol=0.0, atol=tol))
 
-    def wedge(self, other: "Multivector") -> "Multivector":
-        return wedge(self, other)
-
-    def inner(self, other: "Multivector") -> float:
-        return inner(self, other)
-
     def __repr__(self):
         basis = basis_index_sets(self.ambient_dim, self.grade)
         terms = [
@@ -188,28 +178,31 @@ def inner(a: Multivector, b: Multivector) -> float:
     return float(np.dot(a.coeffs, b.coeffs))
 
 
-def blade_of_points(points) -> Multivector:
-    """Wedge of the edge vectors (v1-v0) ^ ... ^ (vm-v0); not normalized."""
-    points = np.asarray(points, dtype=float)
-    n = points.shape[1]
-    m = points.shape[0] - 1
-    if m == 0:
-        return Multivector.scalar(n, 1.0)
-    out = Multivector.from_vector(points[1] - points[0])
-    for k in range(2, m + 1):
-        out = wedge(out, Multivector.from_vector(points[k] - points[0]))
-    return out
+def rowdot(a, b) -> np.ndarray:
+    """Inner product of matching rows of two (n, width) stacks."""
+    return np.einsum("ij,ij->i", a, b)
 
 
-def volume_of_points(points) -> float:
-    """H^m measure sqrt(det(E E^T)) / m! of the simplex spanned by the rows."""
+def blade_of_points(points) -> np.ndarray:
+    """Coefficients of (v1-v0) ^ ... ^ (vm-v0) for stacked (..., m+1, N) points.
+
+    The coefficient on e_I is the m x m minor of the edge matrix on the
+    columns I; not normalized.  Grade 0 gives the scalar 1.
+    """
     points = np.asarray(points, dtype=float)
-    m = points.shape[0] - 1
+    m, n = points.shape[-2] - 1, points.shape[-1]
     if m == 0:
-        return 1.0
-    edges = points[1:] - points[0]
-    gram = edges @ edges.T
-    det = float(np.linalg.det(gram))
-    if det <= 0.0:
-        return 0.0
-    return math.sqrt(det) / math.factorial(m)
+        return np.ones(points.shape[:-2] + (1,))
+    edges = points[..., 1:, :] - points[..., :1, :]
+    columns = np.array(basis_index_sets(n, m))
+    minors = np.moveaxis(edges[..., columns], -2, -3)  # (..., C(N,m), m, m)
+    # + 0.0 turns the -0.0 an LU sign flip can leave into 0.0
+    return np.linalg.det(minors) + 0.0
+
+
+def volume_of_points(points):
+    """H^m measure sqrt(det(E E^T)) / m! of stacked (..., m+1, N) simplices."""
+    points = np.asarray(points, dtype=float)
+    edges = points[..., 1:, :] - points[..., :1, :]
+    det = np.linalg.det(edges @ np.swapaxes(edges, -1, -2))  # 1 for a vertex
+    return np.sqrt(np.maximum(det, 0.0)) / math.factorial(points.shape[-2] - 1)

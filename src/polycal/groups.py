@@ -6,157 +6,143 @@ the minimization norm
 
     |g|_H = min { sum |n_i| |g_i|  :  g = sum n_i g_i,  n_i integers }.
 
-Subgroup elements carry an integer coordinate vector plus the resolved
-ambient value; the norm searches the integer coordinate vectors that cost no
-more than the stored representation, whose cost is the answer when nothing
-cheaper turns up.
+Every element is a 1-D numpy row: one entry for R and Z, the C(N, m)
+lexicographic coefficients for Lambda_m R^N, and the integer coordinates over
+the generators for a subgroup.  The subgroup norm searches the integer
+coordinate vectors that cost no more than the given ones, whose cost is the
+answer when nothing cheaper turns up.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import config
 from .exterior_algebra import Multivector
 
 
-class CoefficientGroup:
-    """Abstract normed abelian group interface."""
+def _int_row(raw, width: int) -> np.ndarray:
+    """Validated int64 row of ``width`` integers below 2**31 in size.
 
-    def zero(self):
+    The bound keeps every sum over a desk-scale complex inside int64.
+    """
+    items = np.ravel(np.asarray(raw, dtype=object)).tolist()
+    if len(items) != width:
+        raise ValueError(f"expected {width} integer entries, got {len(items)}")
+    for x in items:
+        if not (isinstance(x, numbers.Real) and float(x).is_integer()):
+            raise ValueError(f"{x!r} is not an integer coefficient")
+        if abs(x) >= 2**31:
+            raise ValueError(f"integer coefficient {x} is not below 2**31 in size")
+    return np.array(items, dtype=np.int64)
+
+
+class CoefficientGroup:
+    """Normed abelian group whose elements are 1-D numpy rows of ``width``.
+
+    Subclasses supply ``width``, ``dtype``, the norm of each row of an
+    (n, width) stack (``norms``), ``coerce`` and the JSON form; the group
+    operations are row arithmetic.
+    """
+
+    width = 1
+    dtype = float
+
+    def norms(self, rows) -> np.ndarray:
         raise NotImplementedError
+
+    def coerce(self, raw) -> np.ndarray:
+        """Validate/convert a user-supplied coefficient into a row."""
+        raise NotImplementedError
+
+    def zero(self) -> np.ndarray:
+        return np.zeros(self.width, dtype=self.dtype)
 
     def add(self, g, h):
-        raise NotImplementedError
+        return g + h
 
     def neg(self, g):
-        raise NotImplementedError
-
-    def norm(self, g) -> float:
-        raise NotImplementedError
+        return -g
 
     def scale(self, g, k: int):
         """Integer multiple k*g."""
-        raise NotImplementedError
+        return g * k
 
-    def coerce(self, raw):
-        """Validate/convert a user-supplied coefficient."""
-        raise NotImplementedError
+    def norm(self, g) -> float:
+        return float(self.norms(np.reshape(g, (1, self.width)))[0])
 
-    def equal(self, g, h, tol=None) -> bool:
-        return self.norm(self.add(g, self.neg(h))) <= config.zero_tol(tol)
+    def zero_rows(self, rows, tol=None) -> np.ndarray:
+        """Which rows of an (n, width) stack are zero within the tolerance."""
+        return self.norms(rows) <= config.zero_tol(tol)
 
     def is_zero(self, g, tol=None) -> bool:
-        return self.norm(g) <= config.zero_tol(tol)
+        return bool(self.zero_rows(np.reshape(g, (1, self.width)), tol)[0])
+
+    def equal(self, g, h, tol=None) -> bool:
+        return self.is_zero(self.add(g, self.neg(h)), tol)
 
     def coeff_to_json(self, g):
-        raise NotImplementedError
-
-    def coeff_from_json(self, raw):
-        return self.coerce(raw)
+        return g.tolist()
 
     def descriptor(self) -> dict:
         raise NotImplementedError
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.descriptor() == self.descriptor()
+
+    def __hash__(self):
+        return hash(repr(self.descriptor()))
 
 
 class RealGroup(CoefficientGroup):
     """(R, +) with absolute value."""
 
-    def zero(self):
-        return 0.0
-
-    def add(self, g, h):
-        return g + h
-
-    def neg(self, g):
-        return -g
-
-    def norm(self, g):
-        return abs(g)
-
-    def scale(self, g, k):
-        return k * g
+    def norms(self, rows):
+        return np.abs(rows[:, 0])
 
     def coerce(self, raw):
-        return float(raw)
+        return np.array([float(np.squeeze(raw))])
 
     def coeff_to_json(self, g):
-        return float(g)
+        return float(g[0])
 
     def descriptor(self):
         return {"kind": "real"}
 
-    def __eq__(self, other):
-        return type(other) is RealGroup
-
-    def __hash__(self):
-        return hash("real")
-
 
 class IntegerGroup(CoefficientGroup):
-    """(Z, +) with absolute value; arithmetic stays exact."""
+    """(Z, +) with absolute value; arithmetic stays exact in int64."""
 
-    def zero(self):
-        return 0
+    dtype = np.int64
 
-    def add(self, g, h):
-        return g + h
-
-    def neg(self, g):
-        return -g
-
-    def norm(self, g):
-        return float(abs(g))
-
-    def scale(self, g, k):
-        return k * g
+    def norms(self, rows):
+        return np.abs(rows[:, 0]).astype(float)
 
     def coerce(self, raw):
-        val = int(raw)
-        if val != raw:
-            raise ValueError(f"{raw!r} is not an integer coefficient")
-        return val
-
-    def is_zero(self, g, tol=None):
-        return g == 0
+        return _int_row(raw, 1)
 
     def coeff_to_json(self, g):
-        return int(g)
+        return int(g[0])
 
     def descriptor(self):
         return {"kind": "integer"}
-
-    def __eq__(self, other):
-        return type(other) is IntegerGroup
-
-    def __hash__(self):
-        return hash("integer")
 
 
 class MultivectorGroup(CoefficientGroup):
     """Lambda_m R^N with the Euclidean norm."""
 
     def __init__(self, ambient_dim: int, grade: int):
-        self.ambient_dim = int(ambient_dim)
-        self.grade = int(grade)
         # constructing a zero validates the (N, m) range
-        self._zero = Multivector.zero(self.ambient_dim, self.grade)
+        zero = Multivector.zero(int(ambient_dim), int(grade))
+        self.ambient_dim, self.grade = zero.ambient_dim, zero.grade
+        self.width = zero.coeffs.size
 
-    def zero(self):
-        return self._zero
-
-    def add(self, g, h):
-        return g + h
-
-    def neg(self, g):
-        return -g
-
-    def norm(self, g):
-        return g.norm()
-
-    def scale(self, g, k):
-        return g * float(k)
+    def norms(self, rows):
+        return np.linalg.norm(rows, axis=1)
 
     def coerce(self, raw):
         if isinstance(raw, Multivector):
@@ -165,11 +151,14 @@ class MultivectorGroup(CoefficientGroup):
                     f"multivector (N={raw.ambient_dim}, grade={raw.grade}) does not "
                     f"belong to Lambda_{self.grade} R^{self.ambient_dim}"
                 )
-            return raw
-        return Multivector(self.ambient_dim, self.grade, raw)
-
-    def coeff_to_json(self, g):
-        return [float(x) for x in g.coeffs]
+            return raw.coeffs
+        row = np.array(raw, dtype=float).reshape(-1)
+        if row.size != self.width:
+            raise ValueError(
+                f"coefficient vector has length {row.size}, expected "
+                f"C({self.ambient_dim},{self.grade}) = {self.width}"
+            )
+        return row
 
     def descriptor(self):
         return {
@@ -178,89 +167,52 @@ class MultivectorGroup(CoefficientGroup):
             "grade": self.grade,
         }
 
-    def __eq__(self, other):
-        return (
-            type(other) is MultivectorGroup
-            and other.ambient_dim == self.ambient_dim
-            and other.grade == self.grade
-        )
-
-    def __hash__(self):
-        return hash(("multivector", self.ambient_dim, self.grade))
-
-
-@dataclass(frozen=True)
-class SubgroupElement:
-    """Integer coordinates over the generators plus the resolved ambient value."""
-
-    coords: tuple
-    value: object
-
-    def __repr__(self):
-        return f"SubgroupElement(coords={self.coords})"
-
 
 class SubgroupWithNorm(CoefficientGroup):
-    """Subgroup H generated by S, normed by cheapest integer representation."""
+    """Subgroup H generated by S, normed by cheapest integer representation.
+
+    An element is its integer coordinate row over the generators; its
+    ambient value is ``value(row)``.
+    """
+
+    dtype = np.int64
 
     def __init__(self, ambient: CoefficientGroup, generators, generator_norms=None):
         if isinstance(ambient, SubgroupWithNorm):
             raise ValueError("nesting subgroups is not supported")
         self.ambient = ambient
-        self.generators = [ambient.coerce(g) for g in generators]
-        if not self.generators:
+        if len(generators) == 0:
             raise ValueError("need at least one generator")
+        self.generators = np.array([ambient.coerce(g) for g in generators])
+        self.generators.setflags(write=False)
+        self.width = len(self.generators)
         if generator_norms is None:
-            generator_norms = [ambient.norm(g) for g in self.generators]
+            generator_norms = ambient.norms(self.generators)
         self.generator_norms = [float(x) for x in generator_norms]
-        if len(self.generator_norms) != len(self.generators):
+        if len(self.generator_norms) != self.width:
             raise ValueError("generator_norms length must match generators")
         if all(x <= config.ZERO_TOL for x in self.generator_norms):
             raise ValueError("all generator norms vanish; subgroup norm is ill-posed")
         # search order: descending norm prunes earliest
-        self._order = sorted(
-            range(len(self.generators)), key=lambda i: -self.generator_norms[i]
-        )
+        self._order = sorted(range(self.width), key=lambda i: -self.generator_norms[i])
         self._norm_cache = {}
 
-    @property
-    def k(self) -> int:
-        return len(self.generators)
-
-    def element(self, coords) -> SubgroupElement:
-        coords = tuple(int(n) for n in coords)
-        if len(coords) != self.k:
-            raise ValueError(f"coordinate vector must have length {self.k}")
-        value = self.ambient.zero()
-        for n, g in zip(coords, self.generators):
-            if n:
-                value = self.ambient.add(value, self.ambient.scale(g, n))
-        return SubgroupElement(coords, value)
-
-    def zero(self):
-        return self.element((0,) * self.k)
-
-    def add(self, g, h):
-        coords = tuple(a + b for a, b in zip(g.coords, h.coords))
-        return SubgroupElement(coords, self.ambient.add(g.value, h.value))
-
-    def neg(self, g):
-        return SubgroupElement(tuple(-a for a in g.coords), self.ambient.neg(g.value))
-
-    def scale(self, g, k):
-        return SubgroupElement(
-            tuple(k * a for a in g.coords), self.ambient.scale(g.value, k)
-        )
+    def value(self, rows) -> np.ndarray:
+        """Ambient value(s) of coordinate row(s)."""
+        if self.ambient.dtype is np.int64:
+            # in Python integers: coordinates times generators can pass int64
+            return np.asarray(rows, dtype=object) @ self.generators.astype(object)
+        return np.asarray(rows) @ self.generators
 
     def coerce(self, raw):
-        if isinstance(raw, SubgroupElement):
-            if len(raw.coords) != self.k:
-                raise ValueError("coordinate length mismatch")
-            return raw
-        return self.element(raw)
+        return _int_row(raw, self.width)
+
+    def zero_rows(self, rows, tol=None):
+        # zero means zero in the ambient group, whatever the coordinates
+        return self.ambient.zero_rows(self.value(rows), tol)
 
     def representation_cost(self, coords) -> float:
-        return sum(abs(n) * w for n, w in zip(coords, self.generator_norms))
+        return sum(abs(int(n)) * w for n, w in zip(coords, self.generator_norms))
 
     def _enumerate(self, radius: float, tol: float) -> list:
         """Every integer coordinate vector with cost <= radius + tol.
@@ -275,7 +227,7 @@ class SubgroupWithNorm(CoefficientGroup):
         found = []
 
         def descend(level, cost, acc, coords):
-            if level == self.k:
+            if level == self.width:
                 found.append((tuple(coords), cost, acc))
                 return
             w = norms[level]
@@ -291,7 +243,7 @@ class SubgroupWithNorm(CoefficientGroup):
         return found
 
     def _from_search_order(self, search_coords) -> tuple:
-        coords = [0] * self.k
+        coords = [0] * self.width
         for pos, i in enumerate(self._order):
             coords[i] = search_coords[pos]
         return tuple(coords)
@@ -312,30 +264,20 @@ class SubgroupWithNorm(CoefficientGroup):
             return None
         return self._from_search_order(best[0]), best[1]
 
-    def norm(self, g) -> float:
-        g = self.coerce(g)
-        cached = self._norm_cache.get(g.coords)
-        if cached is not None:
-            return cached
-        stored = self.representation_cost(g.coords)
-        found = self.represent(g.value, budget=stored)
-        # The stored coordinates represent g by definition, but the search
-        # re-sums values in its own order and may miss them by rounding.
-        out = stored if found is None else found[1]
-        self._norm_cache[g.coords] = out
+    def norms(self, rows):
+        return np.array([self._norm(tuple(r)) for r in np.asarray(rows).tolist()], dtype=float)
+
+    def _norm(self, coords) -> float:
+        out = self._norm_cache.get(coords)
+        if out is None:
+            stored = self.representation_cost(coords)
+            found = self.represent(self.value(coords), budget=stored)
+            # The stored coordinates represent the element by definition, but
+            # the search re-sums values in its own order and may miss them by
+            # rounding.
+            out = stored if found is None else found[1]
+            self._norm_cache[coords] = out
         return out
-
-    def equal(self, g, h, tol=None):
-        return self.ambient.equal(g.value, h.value, tol)
-
-    def is_zero(self, g, tol=None):
-        return self.ambient.is_zero(g.value, tol)
-
-    def coeff_to_json(self, g):
-        return [int(n) for n in g.coords]
-
-    def coeff_from_json(self, raw):
-        return self.element(raw)
 
     def descriptor(self):
         desc = {
@@ -353,16 +295,12 @@ class SubgroupWithNorm(CoefficientGroup):
     def __eq__(self, other):
         if type(other) is not SubgroupWithNorm or other.ambient != self.ambient:
             return False
-        if other.k != self.k or other.generator_norms != self.generator_norms:
+        if other.width != self.width or other.generator_norms != self.generator_norms:
             return False
-        return all(
-            self.ambient.equal(a, b, tol=0.0) if isinstance(self.ambient, IntegerGroup)
-            else self.ambient.norm(self.ambient.add(a, self.ambient.neg(b))) <= 1e-12
-            for a, b in zip(self.generators, other.generators)
-        )
+        return bool(np.all(self.ambient.norms(self.generators - other.generators) <= 1e-12))
 
     def __hash__(self):
-        return hash(("subgroup", self.ambient, self.k))
+        return hash(("subgroup", self.ambient, self.width))
 
 
 def _signed_range(max_abs: int):
@@ -374,7 +312,7 @@ def _signed_range(max_abs: int):
 
 def subgroup_norm(H: SubgroupWithNorm, coords) -> float:
     """|g|_H for the element with the given integer coordinates."""
-    return H.norm(H.element(coords))
+    return H.norm(H.coerce(coords))
 
 
 @dataclass(frozen=True)
@@ -473,7 +411,7 @@ def group_from_json(desc: dict) -> CoefficientGroup:
             ambient = RealGroup()
         return SubgroupWithNorm(
             ambient,
-            [ambient.coeff_from_json(g) for g in gens],
+            gens,
             desc.get("generator_norms"),
         )
     raise ValueError(f"unknown group kind {kind!r}")

@@ -17,15 +17,15 @@ never solved directly.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import lsmr
 
-from .chains import Chain, boundary, chain_to_json, combine, mass
+from .chains import Chain, _canonical, boundary, chain_to_json, combine, mass
 from .complexes import EmbeddedComplex
-from .exterior_algebra import Multivector
 from .groups import CoefficientGroup, MultivectorGroup, RealGroup
 
 
@@ -40,11 +40,27 @@ class SolverConfig:
     stall_tol: float = 1e-10
     stall_checks: int = 3
 
+    def __post_init__(self):
+        for name in ("max_iter", "check_every", "stall_checks", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"solver config {name} must be an integer")
+            if value < 1 and name != "seed":
+                raise ValueError(f"solver config {name} must be at least 1")
+        for name in ("primal_tol", "obj_tol", "stall_tol", "relax"):
+            value = getattr(self, name)
+            number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (number and 0 < value < math.inf):
+                raise ValueError(f"solver config {name} must be a finite number > 0")
+        if self.relax >= 2:
+            raise ValueError("solver config relax must lie in (0, 2)")
+
     @classmethod
     def from_json(cls, doc):
-        doc = dict(doc or {})
-        known = {f: doc[f] for f in cls.__dataclass_fields__ if f in doc}
-        return cls(**known)
+        """Config from a JSON object; unknown keys are ignored."""
+        if not isinstance(doc, dict):
+            raise ValueError("solver config must be a JSON object")
+        return cls(**{f: doc[f] for f in cls.__dataclass_fields__ if f in doc})
 
     def to_json(self):
         return asdict(self)
@@ -95,33 +111,12 @@ class SolveResult:
 
 
 def _block_size(group) -> int:
-    if isinstance(group, RealGroup):
-        return 1
-    if isinstance(group, MultivectorGroup):
-        return math.comb(group.ambient_dim, group.grade)
-    raise ValueError(
-        "solver supports coefficient groups R and Lambda_m R^N only; "
-        "use retagging for discrete groups"
-    )
-
-
-def _dense_coeffs(A: Chain, size: int) -> np.ndarray:
-    out = np.zeros((A.complex.n_simplices(A.dimension), size))
-    for sid, g in A.coeffs.items():
-        out[sid] = g.coeffs if isinstance(g, Multivector) else g
-    return out
-
-
-def _chain_from_rows(K, m, group, rows) -> Chain:
-    coeffs = {}
-    for sid in range(rows.shape[0]):
-        if isinstance(group, RealGroup):
-            g = float(rows[sid, 0])
-        else:
-            g = Multivector(group.ambient_dim, group.grade, rows[sid])
-        if not group.is_zero(g):
-            coeffs[sid] = g
-    return Chain(K, m, group, coeffs)
+    if not isinstance(group, (RealGroup, MultivectorGroup)):
+        raise ValueError(
+            "solver supports coefficient groups R and Lambda_m R^N only; "
+            "use retagging for discrete groups"
+        )
+    return group.width
 
 
 def _operator_norm(M, seed: int) -> float:
@@ -202,7 +197,8 @@ def min_mass_fixed_boundary(problem: MinMassProblem, lower_bound=None) -> SolveR
     if not 1 <= m <= K.dim:
         raise ValueError(f"complex has no simplices of dimension {m}")
     M = K.boundary_matrix(m)
-    target = _dense_coeffs(problem.boundary, size)
+    target = np.zeros((M.shape[0], size))
+    target[problem.boundary.ids] = problem.boundary.coeffs
     weights = K.volumes(m)
     # least-squares feasibility probe doubles as the warm start
     warm = np.zeros((M.shape[1], size))
@@ -223,10 +219,12 @@ def min_mass_fixed_boundary(problem: MinMassProblem, lower_bound=None) -> SolveR
             config=cfg,
         )
     X, info = _solve_blockwise(M, weights, target, cfg, lower_bound=lower_bound, warm=warm)
-    chain = _chain_from_rows(K, m, group, X)
+    chain = _canonical(K, m, group, np.arange(X.shape[0]), X)
     objective = mass(chain)
-    bres = _dense_coeffs(boundary(chain), size) if chain.coeffs else np.zeros_like(target)
-    primal_residual = float(np.linalg.norm(bres - target))
+    dC = boundary(chain)
+    off_target = target.copy()
+    off_target[dC.ids] -= dC.coeffs
+    primal_residual = float(np.linalg.norm(off_target))
     gap = None if lower_bound is None else objective - lower_bound
     return SolveResult(
         chain=chain,
@@ -286,11 +284,12 @@ def flat_norm_solve(A: Chain, config: SolverConfig | None = None, lower_bound=No
     B = K.boundary_matrix(q_dim)
     M = sparse.hstack([sparse.identity(n_m, format="csr"), -B], format="csr")
     weights = np.concatenate([K.volumes(m), K.volumes(q_dim)])
-    target = _dense_coeffs(A, size)
+    target = np.zeros((n_m, size))
+    target[A.ids] = A.coeffs
     warm = np.vstack([target, np.zeros((n_q, size))])  # exactly feasible: R=A, Q=0
     X, info = _solve_blockwise(M, weights, target, cfg, lower_bound=lower_bound, warm=warm)
-    q_chain = _chain_from_rows(K, q_dim, group, X[n_m:])
-    remainder = combine(A, boundary(q_chain), 1) if q_chain.coeffs else A
+    q_chain = _canonical(K, q_dim, group, np.arange(n_q), X[n_m:])
+    remainder = combine(A, boundary(q_chain), 1)
     value = mass(remainder) + mass(q_chain)
     used_zero = False
     if value > base_mass:

@@ -187,6 +187,8 @@ def stationarity(
     bchain = boundary(A)
     report = StationarityReport(dimension=m, tol=tol, chain=A, chain_boundary=bchain)
     n = K.ambient_dim
+    brows = np.zeros((K.n_simplices(m - 1), bchain.group.width))
+    brows[bchain.ids] = bchain.coeffs
     for fid in range(K.n_simplices(m - 1)):
         if fid in gamma.face_ids:
             continue
@@ -203,13 +205,11 @@ def stationarity(
             incident.append((sigma_t, c, nu))
             residual = residual + c * nu
         residual_norm = float(np.linalg.norm(residual))
-        bcoeff = bchain.coeffs.get(fid)
-        bnorm = bcoeff.norm() if bcoeff is not None else 0.0
+        bnorm = float(np.linalg.norm(brows[fid]))
         if incident:
             eta_tau = K.unit_blade(m - 1, fid)
             predicted = wedge(Multivector.from_vector(residual), eta_tau)
-            actual = bcoeff if bcoeff is not None else predicted * 0.0
-            crosscheck = (actual - predicted).norm()
+            crosscheck = float(np.linalg.norm(brows[fid] - predicted.coeffs))
         else:
             crosscheck = bnorm
         free_edge = len(incident) == 1
@@ -241,20 +241,17 @@ def chainify(V: PolyhedralVarifold) -> Chain:
     negates both the simplex and its unit m-vector.
     """
     K, m = V.complex, V.dimension
-    G = MultivectorGroup(K.ambient_dim, m)
-    coeffs = {sid: K.unit_blade(m, sid) * c for sid, c in V.weights.items()}
-    return Chain(K, m, G, coeffs)
+    ids = np.array(sorted(V.weights), dtype=np.intp)
+    weights = np.array([V.weights[i] for i in ids.tolist()])
+    coeffs = K.unit_blades(m)[ids] * weights[:, None]
+    return Chain(K, m, MultivectorGroup(K.ambient_dim, m), ids, coeffs)
 
 
 def frontier_faces(V: PolyhedralVarifold) -> frozenset:
     """(m-1)-faces incident to exactly one weighted simplex."""
     K, m = V.complex, V.dimension
-    out = set()
-    for fid in range(K.n_simplices(m - 1)):
-        count = sum(1 for sid, _ in K.cofaces[m - 1][fid] if sid in V.weights)
-        if count == 1:
-            out.add(fid)
-    return frozenset(out)
+    faces = K.faces[m][np.array(list(V.weights), dtype=np.intp)]
+    return frozenset(np.flatnonzero(np.bincount(faces.ravel()) == 1).tolist())
 
 
 def boundary_region_for(V: PolyhedralVarifold) -> BoundaryRegion:
@@ -264,10 +261,10 @@ def boundary_region_for(V: PolyhedralVarifold) -> BoundaryRegion:
 def transport_varifold(V: PolyhedralVarifold, corr: SubdivisionMap) -> PolyhedralVarifold:
     if corr.src is not V.complex:
         raise ValueError("subdivision map was built for a different complex")
-    weights = {}
-    for sid, c in V.weights.items():
-        for cid, _sign in corr.children[(V.dimension, sid)]:
-            weights[cid] = weights.get(cid, 0.0) + c
+    parents = np.zeros(V.complex.n_simplices(V.dimension))
+    parents[list(V.weights)] = list(V.weights.values())
+    children = abs(corr.matrices[V.dimension]) @ parents
+    weights = {cid: float(children[cid]) for cid in np.flatnonzero(children).tolist()}
     return PolyhedralVarifold(corr.dst, V.dimension, weights)
 
 

@@ -26,7 +26,7 @@ def segment_complex():
 
 def random_lambda_chain(rng, K, m):
     G = MultivectorGroup(K.ambient_dim, m)
-    width = len(G.zero().coeffs)
+    width = G.width
     n = K.n_simplices(m)
     picks = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
     terms = [

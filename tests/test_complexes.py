@@ -175,9 +175,9 @@ def test_barycentric_triangle_gives_six_children():
     K = build_complex([[0, 0], [1, 0], [0, 1]], [(0, 1, 2)])
     refined, corr = subdivide(K, "barycentric")
     assert refined.n_simplices(2) == 6
-    children = corr.children[(2, 0)]
+    children = corr.matrices[2][:, 0].nonzero()[0]
     assert len(children) == 6
-    total = sum(refined.volume(2, cid) for cid, _ in children)
+    total = sum(refined.volume(2, cid) for cid in children)
     assert total == pytest.approx(0.5, rel=1e-12)
 
 
@@ -185,9 +185,11 @@ def test_edge_midpoint_split_of_triangle():
     K = build_complex([[0, 0], [1, 0], [0, 1]], [(0, 1, 2)])
     refined, corr = subdivide(K, "edge_midpoint", edge=(0, 1))
     assert refined.n_simplices(2) == 2
-    assert len(corr.children[(2, 0)]) == 2
+    assert corr.matrices[2][:, 0].nnz == 2
     d, eid = K.simplex_id((0, 2))
-    assert corr.children[(d, eid)] == [(refined.simplex_id((0, 2))[1], 1)]
+    column = corr.matrices[d][:, eid].toarray().ravel()
+    assert column.tolist() == [1 if cid == refined.simplex_id((0, 2))[1] else 0
+                               for cid in range(refined.n_simplices(d))]
 
 
 def test_subdivision_preserves_volumes():
@@ -197,7 +199,8 @@ def test_subdivision_preserves_volumes():
     refined, corr = subdivide(K, "barycentric")
     for d in range(1, K.dim + 1):
         for sid in range(K.n_simplices(d)):
-            total = sum(refined.volume(d, cid) for cid, _ in corr.children[(d, sid)])
+            children = corr.matrices[d][:, sid].nonzero()[0]
+            total = sum(refined.volume(d, cid) for cid in children)
             assert total == pytest.approx(K.volume(d, sid), rel=1e-12)
 
 
@@ -206,13 +209,14 @@ def test_subdivision_signs_match_parent_orientation():
     verts = rng.standard_normal((4, 3))
     K = build_complex(verts, [(0, 1, 2, 3)])
     refined, corr = subdivide(K, "barycentric")
-    for (d, sid), kids in corr.children.items():
-        if d == 0:
-            continue
-        parent = K.unit_blade(d, sid)
-        for cid, sign in kids:
+    for d in range(1, K.dim + 1):
+        P = corr.matrices[d].tocoo()
+        assert P.shape == (refined.n_simplices(d), K.n_simplices(d))
+        assert np.bincount(P.row).max() == 1  # a child lies in one parent
+        for cid, sid, sign in zip(P.row, P.col, P.data):
+            parent = K.unit_blade(d, sid)
             child = refined.unit_blade(d, cid)
-            assert child.allclose(sign * parent, tol=1e-9)
+            assert child.allclose(int(sign) * parent, tol=1e-9)
 
 
 def test_subdivide_unknown_rule_and_missing_edge():

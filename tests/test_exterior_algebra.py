@@ -271,7 +271,7 @@ def test_blade_of_points_norm_is_factorial_times_volume():
     rng = np.random.default_rng(37)
     pts = rng.standard_normal((4, 5))
     blade = blade_of_points(pts)
-    assert blade.norm() == pytest.approx(
+    assert np.linalg.norm(blade) == pytest.approx(
         math.factorial(3) * volume_of_points(pts), rel=1e-10
     )
 

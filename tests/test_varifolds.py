@@ -187,8 +187,8 @@ def test_chainify_weighted_segment():
     K = build_complex([[0, 0], [1, 0]], [(0, 1)])
     V = make_varifold(K, 1, [((0, 1), 2.0)])
     A = chainify(V)
-    coeff = A.coeffs[0]
-    assert coeff.allclose(Multivector(2, 1, [2.0, 0.0]))
+    assert A.ids.tolist() == [0]
+    assert A.coeffs[0] == pytest.approx([2.0, 0.0], abs=1e-12)
     assert mass(A) == pytest.approx(2.0)
 
 
@@ -196,10 +196,11 @@ def test_chainify_mass_preserving_and_per_simplex_aligned():
     K, V, _ = generate_example("tetrahedral_cone")
     A = chainify(V)
     assert mass(A) == pytest.approx(V.mass(), rel=1e-12)
-    for sid, g in A.coeffs.items():
+    assert sorted(V.weights) == A.ids.tolist()
+    for sid, g in zip(A.ids, A.coeffs):
         c = V.weights[sid]
         eta = K.unit_blade(2, sid)
-        assert g.allclose(c * eta, tol=1e-12)
+        assert Multivector(3, 2, g).allclose(c * eta, tol=1e-12)
 
 
 def test_chainify_additive_on_disjoint_supports():
