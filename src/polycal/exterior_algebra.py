@@ -196,8 +196,7 @@ def blade_of_points(points) -> np.ndarray:
     edges = points[..., 1:, :] - points[..., :1, :]
     columns = np.array(basis_index_sets(n, m))
     minors = np.moveaxis(edges[..., columns], -2, -3)  # (..., C(N,m), m, m)
-    # + 0.0 turns the -0.0 an LU sign flip can leave into 0.0
-    return np.linalg.det(minors) + 0.0
+    return np.linalg.det(minors)
 
 
 def volume_of_points(points):
