@@ -267,6 +267,20 @@ def test_norm_positive_definite():
             assert a.norm() > 0.0
 
 
+def test_blade_of_points_matches_iterated_wedge():
+    # reference: (v1-v0) ^ ... ^ (vm-v0) by repeated wedge, one simplex at a time
+    rng = np.random.default_rng(41)
+    for m, n in [(1, 2), (2, 3), (2, 4), (3, 5), (4, 4)]:
+        pts = rng.standard_normal((6, m + 1, n))
+        batched = blade_of_points(pts)
+        for k in range(len(pts)):
+            ref = Multivector.from_vector(pts[k, 1] - pts[k, 0])
+            for j in range(2, m + 1):
+                ref = wedge(ref, Multivector.from_vector(pts[k, j] - pts[k, 0]))
+            assert np.allclose(batched[k], ref.coeffs, rtol=1e-12, atol=1e-12)
+            assert volume_of_points(pts)[k] == pytest.approx(volume_of_points(pts[k]), rel=1e-12)
+
+
 def test_blade_of_points_norm_is_factorial_times_volume():
     rng = np.random.default_rng(37)
     pts = rng.standard_normal((4, 5))
