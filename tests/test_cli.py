@@ -289,3 +289,47 @@ def test_nonfinite_input_is_exit_two(tmp_path, capsys, bad):
                   {"dimension": 1, "weights": [{"simplex": [0, 1], "c": bad}]})
     cpath = write(tmp_path, "complex.json", {"vertices": TRIANGLE_VERTICES, "simplices": SEGMENTS})
     assert main(["stationarity", "--in", cpath, "--in", vpath]) == 2
+
+
+def test_cone_of_radius_1e_minus_10_certifies(tmp_path, capsys):
+    # the conormal height is tested against the simplex's own scale
+    bundle = str(tmp_path / "cone.json")
+    assert main(["demo", "tetrahedral_cone", "--radius", "1e-10", "--out", bundle]) == 0
+    code, cert = run_cli(capsys, "certify", "--in", bundle)
+    assert code == 0 and cert["conclusion"] == "calibrated-minimizer"
+
+
+Y_120 = json.dumps([[0.0, 1.0], [-math.sqrt(3) / 2, -0.5], [math.sqrt(3) / 2, -0.5]])
+
+
+def test_heavy_balanced_y_is_stationary(tmp_path, capsys):
+    # the weighted conormal sum is measured against the incident weights
+    bundle = str(tmp_path / "y.json")
+    argv = ["demo", "custom_net_cone", "--directions", Y_120, "--weights", "[1e8, 1e8, 1e8]"]
+    assert main(argv + ["--out", bundle]) == 0
+    code, report = run_cli(capsys, "stationarity", "--in", bundle)
+    assert (code, report["is_stationary"]) == (0, True)
+
+
+def test_light_l_shape_is_not_stationary(tmp_path, capsys):
+    bundle = str(tmp_path / "l.json")
+    argv = ["demo", "custom_net_cone", "--directions", "[[1, 0], [0, 1]]",
+            "--weights", "[1e-10, 1e-10]", "--out", bundle]
+    assert main(argv) == 0
+    code, report = run_cli(capsys, "stationarity", "--in", bundle)
+    assert (code, report["is_stationary"]) == (1, False)
+    code, cert = run_cli(capsys, "certify", "--in", bundle)
+    assert (code, cert["conclusion"]) == (1, "boundary-not-in-gamma")
+
+
+@pytest.mark.parametrize("group, bad", [
+    ({"kind": "real"}, float("nan")),
+    ({"kind": "real"}, float("inf")),
+    ({"kind": "multivector", "ambient_dim": 2, "grade": 1}, [1.0, float("nan")]),
+], ids=["real-nan", "real-inf", "multivector-nan"])
+def test_nonfinite_chain_coefficient_is_exit_two(tmp_path, capsys, group, bad):
+    cpath = write(tmp_path, "complex.json", {"vertices": TRIANGLE_VERTICES, "simplices": SEGMENTS})
+    chpath = write(tmp_path, "chain.json", {
+        "dimension": 1, "group": group, "terms": [{"simplex": [0, 1], "coeff": bad}]})
+    assert main(["flatnorm", "--in", cpath, "--in", chpath]) == 2
+    assert capsys.readouterr().out == ""

@@ -88,6 +88,55 @@ def test_ids_are_sorted_and_deterministic():
     assert K.simplices[1][0] == (0, 1)
 
 
+def reference_complex(top_simplices):
+    """Face closure, tables and maximal simplices in Python tuples and dicts."""
+    tops = [tuple(sorted(int(v) for v in t)) for t in top_simplices]
+    dim = max(len(t) for t in tops) - 1
+    by_dim = [set() for _ in range(dim + 1)]
+    for t in tops:
+        by_dim[len(t) - 1].add(t)
+    for d in range(dim, 0, -1):
+        for t in by_dim[d]:
+            by_dim[d - 1].update(t[:j] + t[j + 1:] for j in range(d + 1))
+    simplices = [sorted(level) for level in by_dim]
+    ids = [{t: i for i, t in enumerate(level)} for level in simplices]
+    faces = [[[ids[d - 1][t[:j] + t[j + 1:]] for j in range(d + 1)] for t in simplices[d]]
+             for d in range(1, dim + 1)]
+    has_coface = set()
+    for d in range(1, dim + 1):
+        has_coface.update((d - 1, f) for row in faces[d - 1] for f in row)
+    maximal = [(d, i) for d in range(dim + 1) for i in range(len(simplices[d]))
+               if (d, i) not in has_coface]
+    return simplices, faces, maximal
+
+
+@pytest.mark.parametrize("n_dim, n_points", [(2, 12), (2, 60), (3, 10), (3, 40)])
+def test_array_construction_matches_python_closure(n_dim, n_points):
+    from scipy.spatial import Delaunay
+
+    rng = np.random.default_rng(n_dim * 100 + n_points)
+    points = rng.uniform(size=(n_points, n_dim))
+    tops = [[int(v) for v in rng.permutation(s)] for s in Delaunay(points).simplices]
+    # a few lower-dimensional tops: a hanging edge and an isolated vertex
+    points = np.vstack([points, rng.uniform(size=(2, n_dim)) + 2.0])
+    tops += [[0, n_points], [n_points + 1]]
+    K = build_complex(points, tops)
+    simplices, faces, maximal = reference_complex(tops)
+    assert K.simplices == simplices
+    assert [K.faces[d].tolist() for d in range(1, K.dim + 1)] == faces
+    assert K.maximal_simplices() == maximal
+    for d, level in enumerate(simplices):
+        for i, t in enumerate(level):
+            assert K.simplex_id(t) == (d, i) and K.simplex_tuple(d, i) == t
+
+
+def test_direct_construction_with_a_missing_face_raises():
+    with pytest.raises(ValueError, match="missing"):
+        EmbeddedComplex([[0, 0], [1, 0], [0, 1]], [[(0,), (1,), (2,)], [(0, 1), (1, 2)], [(0, 1, 2)]])
+    with pytest.raises(ValueError, match=r"face \(2,\) of \(1, 2\) missing"):
+        EmbeddedComplex([[0, 0], [1, 0], [0, 1]], [[(0,), (1,)], [(0, 1), (1, 2)]])
+
+
 def test_double_incidence_cancellation():
     verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
     K = build_complex(verts, [(0, 1, 2, 3), (1, 2, 3, 4)])

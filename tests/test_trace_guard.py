@@ -11,6 +11,7 @@ import json
 import os
 
 import polycal.cli
+import polycal.varifolds
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -64,8 +65,30 @@ def test_trace_targets_resolve_and_record(tmp_path):
     for span in ("cli.load", "cli.emit", "complexes.build", "complexes.geometry",
                  "varifolds.stationarity", "chains.boundary", "calibration.minimality_certificate"):
         assert span in summary["self"], span
+    # the tetrahedral cone's 10 edges less the 6 of gamma, the tetrahedron's
+    K, _, gamma = polycal.varifolds.generate_example("tetrahedral_cone")
+    assert summary["counts"]["varifolds.stationarity.faces"] == K.n_simplices(1) - len(gamma.face_ids) == 4
     assert summary["counts"]["complexes.geometry.blades"] > 0
     assert summary["counts"]["chains.terms"] > 0
     assert solver_summary["counts"]["solver.iterations"] > 0
     for span in ("complexes.subdivide", "chains.transport", "solver.min_mass"):
         assert span in solver_summary["self"], span
+
+
+def test_certificate_builds_no_face_records(tmp_path, monkeypatch):
+    """The certificate reads the stationarity arrays; per-face records are
+    built only when a report is listed face by face."""
+    built = []
+
+    class CountedFaceBalance(polycal.varifolds.FaceBalance):
+        def __init__(self, **fields):
+            built.append(fields["face_id"])
+            super().__init__(**fields)
+
+    monkeypatch.setattr(polycal.varifolds, "FaceBalance", CountedFaceBalance)
+    bundle = str(tmp_path / "bundle.json")
+    assert polycal.cli.main(["demo", "tetrahedral_cone", "--refine", "1", "--out", bundle]) == 0
+    assert polycal.cli.main(["certify", "--in", bundle, "--out", str(tmp_path / "cert.json")]) == 0
+    assert built == []
+    assert polycal.cli.main(["stationarity", "--in", bundle, "--out", str(tmp_path / "st.json")]) == 0
+    assert len(built) > 0

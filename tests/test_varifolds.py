@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from polycal.chains import boundary, is_supported_in, mass
-from polycal.complexes import BoundaryRegion, build_complex, subdivide
+from polycal.complexes import BoundaryRegion, EmbeddedComplex, build_complex, subdivide
 from polycal.exterior_algebra import Multivector, wedge
 from polycal.varifolds import (
     CATALOG,
@@ -262,6 +262,109 @@ def test_residual_norm_equals_boundary_coefficient_norm():
         for f in report.faces:
             assert f.boundary_coeff_norm == pytest.approx(f.residual_norm, abs=1e-11)
             assert f.crosscheck_residual <= 1e-11
+
+
+def reference_stationarity(V, gamma, tol):
+    """The per-face loop: one Gram solve per conormal, one wedge per face.
+
+    Faces in id order minus gamma; incident simplices in coface order.
+    Returns (face id, face tuple, residual, residual norm, incident,
+    boundary norm, cross-check residual, free edge, passed) per face.
+    """
+    K, m = V.complex, V.dimension
+    cofaces = {}
+    for sid, row in enumerate(K.faces[m]):
+        for fid in row.tolist():
+            cofaces.setdefault(fid, []).append(sid)
+    dA = boundary(chainify(V))
+    brows = np.zeros((K.n_simplices(m - 1), dA.group.width))
+    brows[dA.ids] = dA.coeffs
+    out = []
+    for fid in range(K.n_simplices(m - 1)):
+        if fid in gamma.face_ids:
+            continue
+        face_t = K.simplex_tuple(m - 1, fid)
+        residual, incident, total = np.zeros(K.ambient_dim), [], 0.0
+        for sid in cofaces.get(fid, []):
+            c = V.weights.get(sid)
+            if c is None:
+                continue
+            sigma_t = K.simplex_tuple(m, sid)
+            opposite = next(v for v in sigma_t if v not in face_t)
+            base = K.vertices[face_t[0]]
+            d = K.vertices[opposite] - base
+            if len(face_t) > 1:
+                spans = K.vertices[list(face_t[1:])] - base
+                d = d - spans.T @ np.linalg.solve(spans @ spans.T, spans @ d)
+            nu = -d / np.linalg.norm(d)
+            incident.append((sigma_t, c, nu))
+            residual = residual + c * nu
+            total += c
+        rnorm = float(np.linalg.norm(residual))
+        bnorm = float(np.linalg.norm(brows[fid]))
+        cross = bnorm
+        if incident:
+            predicted = wedge(Multivector.from_vector(residual), K.unit_blade(m - 1, fid))
+            cross = float(np.linalg.norm(brows[fid] - predicted.coeffs))
+        free = len(incident) == 1
+        out.append((fid, face_t, residual, rnorm, incident, bnorm, cross, free,
+                    rnorm <= tol * total and not free))
+    return out
+
+
+def test_batched_stationarity_matches_the_per_face_loop():
+    rng = np.random.default_rng(61)
+    for refinement in (0, 1, 2):
+        for K, V, gamma in catalog_entries(refinement):
+            for trial in range(3):
+                # random weight scalings, some simplices dropped (free edges)
+                # and part of gamma released (more interior faces)
+                sids = sorted(V.weights)
+                kept = [s for s in sids if trial == 0 or rng.uniform() > 0.2]
+                scales = 10.0 ** rng.uniform(-3, 3, size=len(kept))
+                W = PolyhedralVarifold(K, V.dimension, dict(zip(kept, scales)))
+                released = {f for f in gamma.face_ids if trial == 2 and rng.uniform() < 0.5}
+                region = BoundaryRegion(K, gamma.face_dim, gamma.face_ids - released)
+                tol = 1e-9
+                report = stationarity(W, region, tol=tol)
+                expected = reference_stationarity(W, region, tol)
+                assert len(report.faces) == len(expected)
+                passed = True
+                for f, (fid, face_t, res, rnorm, incident, bnorm, cross, free, ok) in zip(
+                    report.faces, expected
+                ):
+                    assert (f.face_id, f.face_tuple, f.free_edge, f.passed) == (fid, face_t, free, ok)
+                    assert f.residual == pytest.approx(res, abs=1e-12)
+                    assert f.residual_norm == pytest.approx(rnorm, abs=1e-12)
+                    assert f.boundary_coeff_norm == pytest.approx(bnorm, abs=1e-12)
+                    assert f.crosscheck_residual == pytest.approx(cross, abs=1e-12)
+                    assert [(s, c) for s, c, _ in f.incident] == [(s, c) for s, c, _ in incident]
+                    for (_, _, nu), (_, _, ref) in zip(f.incident, incident):
+                        assert nu == pytest.approx(ref, abs=1e-12)
+                    passed = passed and ok
+                assert report.is_stationary == passed
+                assert report.max_residual == pytest.approx(
+                    max([e[3] for e in expected], default=0.0), abs=1e-12)
+
+
+def test_stationarity_verdict_is_invariant_under_weight_scaling():
+    for scale in (1e-12, 1e-6, 1e6, 1e12):
+        for K, V, gamma in catalog_entries():
+            W = PolyhedralVarifold(K, V.dimension, {s: c * scale for s, c in V.weights.items()})
+            assert stationarity(W, gamma).is_stationary
+        _, V, gamma = l_shape()
+        W = PolyhedralVarifold(V.complex, 1, {s: c * scale for s, c in V.weights.items()})
+        assert not stationarity(W, gamma).is_stationary
+
+
+def test_conormal_degeneracy_is_relative_to_the_simplex_scale():
+    for radius in (1e-12, 1.0, 1e12):
+        K, V, gamma = generate_example("tetrahedral_cone", radius=radius)
+        assert stationarity(V, gamma).is_stationary
+    K = build_complex([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-12]], [(0, 1), (1, 2), (0, 2)])
+    K = EmbeddedComplex(K.vertices, [[(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)], [(0, 1, 2)]])
+    with pytest.raises(ValueError, match="collapse"):
+        conormal(K, (0, 1, 2), (0, 1))
 
 
 # ---------------------------------------------------------------------------
