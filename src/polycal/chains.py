@@ -120,6 +120,8 @@ def make_chain(K: EmbeddedComplex, m: int, G: CoefficientGroup, terms) -> Chain:
         g = G.coerce(raw_coeff)
         rows.append(g if permutation_sign(t) > 0 else G.neg(g))
     rows = np.array(rows, dtype=G.dtype).reshape(-1, G.width)
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("chain coefficients must be finite")
     return _canonical(K, m, G, ids, rows)
 
 

@@ -1,9 +1,10 @@
 """Finite simplicial complexes embedded in R^N.
 
-Simplices are stored as strictly sorted vertex-index tuples; the sorted tuple
-is the canonical combinatorial orientation and user orientations live on chain
-coefficients instead.  Construction closes the input under the face relation
-and assigns deterministic ids (lexicographic order per dimension).
+Simplices are stored as strictly sorted vertex-index rows (int arrays, with
+tuples for lookup); the sorted row is the canonical combinatorial orientation
+and user orientations live on chain coefficients instead.  Construction closes
+the input under the face relation and assigns deterministic ids (lexicographic
+order per dimension).
 """
 
 from __future__ import annotations
@@ -26,9 +27,42 @@ from .exterior_algebra import (
 )
 
 
-def _stacked(coords, tuples, d: int) -> np.ndarray:
-    """Coordinates of the given d-simplices, stacked (len(tuples), d+1, N)."""
-    return coords[np.array(tuples, dtype=np.intp).reshape(-1, d + 1)]
+def _facets(rows) -> np.ndarray:
+    """(n, d+1, d) facets of (n, d+1) vertex rows; facet j drops vertex j."""
+    k = rows.shape[1]
+    return rows[:, [[i for i in range(k) if i != j] for j in range(k)]]
+
+
+def _lexical(rows, base: int) -> np.ndarray:
+    """(n, k) rows of integers in [0, base) as n keys in lexicographic order.
+
+    A key is a mixed-radix int64 when base**k fits, else a record compared
+    field by field.
+    """
+    rows = np.ascontiguousarray(rows, dtype=np.intp)
+    if base ** rows.shape[1] < 2**63:
+        return rows @ np.array([base**i for i in range(rows.shape[1])][::-1], dtype=np.int64)
+    return rows.view([(f"f{i}", rows.dtype) for i in range(rows.shape[1])]).reshape(-1)
+
+
+def _distinct(rows, base: int) -> np.ndarray:
+    """The distinct rows of ``rows``, in lexicographic order."""
+    return rows[np.unique(_lexical(rows, base), return_index=True)[1]]
+
+
+def _find(level, rows, base: int):
+    """Positions of ``rows`` in the sorted distinct rows ``level``, and which are there."""
+    pos = np.searchsorted(_lexical(level, base), _lexical(rows, base))
+    found = pos < len(level)
+    found[found] = np.all(level[pos[found]] == rows[found], axis=1)
+    return pos, found
+
+
+def longest_edge(points) -> np.ndarray:
+    """Longest edge length of each of the stacked (..., m+1, N) simplices."""
+    i, j = np.triu_indices(points.shape[-2], 1)
+    edges = points[..., i, :] - points[..., j, :]
+    return np.sqrt(np.max(np.sum(edges * edges, axis=-1), axis=-1, initial=0.0))
 
 
 def degenerate(points, tol=None) -> np.ndarray:
@@ -39,9 +73,7 @@ def degenerate(points, tol=None) -> np.ndarray:
     """
     points = np.asarray(points, dtype=float)
     m = points.shape[-2] - 1
-    diffs = points[..., :, None, :] - points[..., None, :, :]
-    longest = np.sqrt(np.max(np.sum(diffs * diffs, axis=-1), axis=(-2, -1)))
-    return volume_of_points(points) <= config.zero_tol(tol) * longest**m
+    return volume_of_points(points) <= config.zero_tol(tol) * longest_edge(points) ** m
 
 
 class EmbeddedComplex:
@@ -61,51 +93,45 @@ class EmbeddedComplex:
         vertices.setflags(write=False)
         self.vertices = vertices
         self.ambient_dim = n
-        # simplices[d] is a lexicographically sorted list of sorted tuples
-        self.simplices = [sorted(set(map(tuple, s))) for s in simplices_by_dim]
-        while self.simplices and not self.simplices[-1]:
-            self.simplices.pop()
-        total = sum(len(s) for s in self.simplices)
+        # simplex_rows[d] is the (n_d, d+1) array of the d-simplices' vertex
+        # ids in lexicographic order, simplices[d] the same rows as tuples
+        nv = len(vertices)
+        levels = [np.asarray(s if isinstance(s, np.ndarray) else list(s), dtype=np.intp)
+                  .reshape(len(s), d + 1) for d, s in enumerate(simplices_by_dim)]
+        if any(np.any((s < 0) | (s >= nv)) or np.any(s[:, 1:] <= s[:, :-1]) for s in levels):
+            raise ValueError(f"simplices must be increasing vertex ids in 0..{nv - 1}")
+        self.simplex_rows = [_distinct(s, nv) for s in levels]
+        while self.simplex_rows and not len(self.simplex_rows[-1]):
+            self.simplex_rows.pop()
+        total = sum(len(s) for s in self.simplex_rows)
         if total > config.MAX_SIMPLICES:
             raise ValueError(f"complex has {total} simplices, above desk-scale limit")
-        self._ids = [
-            {t: i for i, t in enumerate(level)} for level in self.simplices
-        ]
+        self.simplices = [list(map(tuple, rows.tolist())) for rows in self.simplex_rows]
+        self._ids = [{t: i for i, t in enumerate(level)} for level in self.simplices]
         # faces[d][i, j] = id of the (d-1)-face of simplex i with vertex j removed,
         # carrying incidence sign (-1)^j
-        self.faces = []
-        for d, level in enumerate(self.simplices):
-            if d == 0:
-                self.faces.append(None)
-                continue
-            table = np.empty((len(level), d + 1), dtype=np.intp)
-            lower = self._ids[d - 1]
-            for i, t in enumerate(level):
-                for j in range(d + 1):
-                    face = t[:j] + t[j + 1 :]
-                    if face not in lower:
-                        raise ValueError(f"face {face} of {t} missing from complex")
-                    table[i, j] = lower[face]
-            self.faces.append(table)
-        # cofaces[d][i] = list of (id of (d+1)-simplex, face slot j)
-        self.cofaces = [
-            [[] for _ in level] for level in self.simplices
-        ]
-        for d in range(1, len(self.simplices)):
-            for i in range(len(self.simplices[d])):
-                for j in range(d + 1):
-                    self.cofaces[d - 1][self.faces[d][i, j]].append((i, j))
+        self.faces = [None]
+        for d in range(1, len(self.simplex_rows)):
+            facets = _facets(self.simplex_rows[d]).reshape(-1, d)
+            table, found = _find(self.simplex_rows[d - 1], facets, nv)
+            if not found.all():
+                k = int(np.argmin(found))
+                face, t = tuple(facets[k].tolist()), self.simplices[d][k // (d + 1)]
+                raise ValueError(f"face {face} of {t} missing from complex")
+            self.faces.append(table.reshape(-1, d + 1))
+        for rows in self.simplex_rows + self.faces[1:]:
+            rows.setflags(write=False)
         self._volumes = [None] * len(self.simplices)
         self._unit_blades = [None] * len(self.simplices)
         self._boundary_matrices = {}
 
     @property
     def dim(self) -> int:
-        return len(self.simplices) - 1
+        return len(self.simplex_rows) - 1
 
     def n_simplices(self, d: int) -> int:
         if 0 <= d <= self.dim:
-            return len(self.simplices[d])
+            return len(self.simplex_rows[d])
         return 0
 
     def simplex_tuple(self, d: int, sid: int) -> tuple:
@@ -127,7 +153,7 @@ class EmbeddedComplex:
     def volumes(self, d: int) -> np.ndarray:
         """H^d measures of all d-simplices (cached)."""
         if self._volumes[d] is None:
-            vols = volume_of_points(_stacked(self.vertices, self.simplices[d], d))
+            vols = volume_of_points(self.vertices[self.simplex_rows[d]])
             vols.setflags(write=False)
             self._volumes[d] = vols
         return self._volumes[d]
@@ -141,7 +167,7 @@ class EmbeddedComplex:
         One row of C(N, d) coefficients per simplex; grade 0 is the scalar 1.
         """
         if self._unit_blades[d] is None:
-            points = _stacked(self.vertices, self.simplices[d], d)
+            points = self.vertices[self.simplex_rows[d]]
             flat = np.flatnonzero(degenerate(points))
             if flat.size:
                 raise DegenerateSimplexError(
@@ -158,13 +184,9 @@ class EmbeddedComplex:
         return Multivector(self.ambient_dim, d, self.unit_blades(d)[sid])
 
     def maximal_simplices(self):
-        """(d, id) pairs with no coface."""
-        out = []
-        for d, level in enumerate(self.simplices):
-            for i in range(len(level)):
-                if not self.cofaces[d][i]:
-                    out.append((d, i))
-        return out
+        """(d, id) pairs with no coface: ids absent from faces[d+1]."""
+        return [(d, i) for d in range(self.dim + 1) for i in np.setdiff1d(
+            np.arange(self.n_simplices(d)), self.faces[d + 1] if d < self.dim else []).tolist()]
 
     def boundary_matrix(self, d: int):
         """Sparse incidence matrix (n_{d-1} x n_d) with entries (-1)^j."""
@@ -230,10 +252,7 @@ class BoundaryRegion:
         return cls(complex, face_dim, frozenset(ids))
 
     def vertex_ids(self) -> frozenset:
-        verts = set()
-        for i in self.face_ids:
-            verts.update(self.complex.simplex_tuple(self.face_dim, i))
-        return frozenset(verts)
+        return frozenset(self.complex.simplex_rows[self.face_dim][list(self.face_ids)].ravel().tolist())
 
 
 def build_complex(vertices, top_simplices, ambient_dim=None) -> EmbeddedComplex:
@@ -264,21 +283,24 @@ def build_complex(vertices, top_simplices, ambient_dim=None) -> EmbeddedComplex:
         seen.add(st)
         canon.append(st)
     max_dim = max((len(t) - 1 for t in canon), default=0)
-    by_dim = [set() for _ in range(max_dim + 1)]
-    for t in canon:
-        by_dim[len(t) - 1].add(t)
-    # face closure
-    for d in range(max_dim, 0, -1):
-        for t in by_dim[d]:
-            for j in range(d + 1):
-                by_dim[d - 1].add(t[:j] + t[j + 1 :])
+    return _closed_complex(vertices, [[t for t in canon if len(t) == d + 1] for d in range(max_dim + 1)])
+
+
+def _closed_complex(vertices, tops) -> EmbeddedComplex:
+    """The complex of the valid d-simplices ``tops[d]`` and all their faces;
+    each top must be nondegenerate."""
+    tops = [np.array(t, dtype=np.intp).reshape(-1, d + 1) for d, t in enumerate(tops)]
+    # face closure, top down, one lexicographic deduplication per dimension
+    levels = [_distinct(tops[-1], len(vertices))]
+    for d in range(len(tops) - 2, -1, -1):
+        below = np.vstack([tops[d], _facets(levels[0]).reshape(-1, d + 1)])
+        levels.insert(0, _distinct(below, len(vertices)))
     # the complex rejects non-finite vertices, which would trip the flatness test
-    K = EmbeddedComplex(vertices, by_dim)
-    for d in range(1, max_dim + 1):
-        tops = [t for t in canon if len(t) == d + 1]
-        flat = np.flatnonzero(degenerate(_stacked(K.vertices, tops, d)))
+    K = EmbeddedComplex(vertices, levels)
+    for d in range(1, len(tops)):
+        flat = np.flatnonzero(degenerate(K.vertices[tops[d]]))
         if flat.size:
-            raise ValueError(f"top simplex {tops[flat[0]]} is geometrically degenerate")
+            raise ValueError(f"top simplex {tuple(tops[d][flat[0]].tolist())} is geometrically degenerate")
     return K
 
 
@@ -351,13 +373,8 @@ def _pair_overlap_weight(pa, pb, shared_a, shared_b):
     ka, kb = pa.shape[0], pb.shape[0]
     n = pa.shape[1]
     # variables: barycentric coords lambda (ka) then mu (kb)
-    c = np.zeros(ka + kb)
-    for i in range(ka):
-        if i not in shared_a:
-            c[i] = -1.0
-    for j in range(kb):
-        if j not in shared_b:
-            c[ka + j] = -1.0
+    c = -np.ones(ka + kb)
+    c[list(shared_a) + [ka + j for j in shared_b]] = 0.0
     a_eq = np.zeros((n + 2, ka + kb))
     b_eq = np.zeros(n + 2)
     a_eq[:n, :ka] = pa.T
@@ -423,16 +440,16 @@ class SubdivisionMap:
     matrices: list
 
 
-def _assemble_subdivision(K, new_vertices, raw_children):
-    """Build the refined complex from child tuples and resolve ids/signs."""
-    refined = build_complex(new_vertices, [t for kids in raw_children.values() for t in kids])
+def _assemble_subdivision(K, new_vertices, children):
+    """Build the refined complex and resolve ids/signs.
+
+    ``children[d]`` is (parent ids, child rows): the d-simplices of the
+    refinement inside each parent, as sorted vertex rows.
+    """
+    refined = _closed_complex(new_vertices, [rows for _, rows in children])
     matrices = []
-    for d in range(K.dim + 1):
-        parents, kids = [], []
-        for sid in range(K.n_simplices(d)):
-            for t in raw_children[(d, sid)]:
-                parents.append(sid)
-                kids.append(refined.simplex_id(t)[1])
+    for d, (parents, rows) in enumerate(children):
+        kids = _find(refined.simplex_rows[d], rows, len(new_vertices))[0]
         dots = rowdot(K.unit_blades(d)[parents], refined.unit_blades(d)[kids])
         skew = np.flatnonzero(np.abs(np.abs(dots) - 1.0) > 1e-6)
         if skew.size:
@@ -446,38 +463,19 @@ def _assemble_subdivision(K, new_vertices, raw_children):
 def _barycentric(K: EmbeddedComplex):
     # the barycenters of the d-simplices (d >= 1) follow the old vertices,
     # in order of dimension and id; first[d] numbers the first of them
-    centers = [_stacked(K.vertices, K.simplices[d], d).mean(axis=1) for d in range(1, K.dim + 1)]
+    centers = [K.vertices[K.simplex_rows[d]].mean(axis=1) for d in range(1, K.dim + 1)]
     new_vertices = np.vstack([K.vertices] + centers)
     first = [0] + list(itertools.accumulate([len(K.vertices)] + [len(c) for c in centers]))
-
-    def vertex_of(d, sid):
-        return K.simplex_tuple(0, sid)[0] if d == 0 else first[d] + sid
-
-    flags_cache = {}
-
-    def flags_ending_at(d, sid):
-        key = (d, sid)
-        if key in flags_cache:
-            return flags_cache[key]
-        if d == 0:
-            out = [((0, sid),)]
-        else:
-            out = []
-            for j in range(d + 1):
-                fid = K.faces[d][sid, j]
-                for fl in flags_ending_at(d - 1, fid):
-                    out.append(fl + ((d, sid),))
-        flags_cache[key] = out
-        return out
-
-    raw_children = {}
-    for d in range(K.dim + 1):
-        for sid in range(K.n_simplices(d)):
-            raw_children[(d, sid)] = [
-                tuple(sorted(vertex_of(fd, fi) for fd, fi in fl))
-                for fl in flags_ending_at(d, sid)
-            ]
-    return _assemble_subdivision(K, new_vertices, raw_children)
+    # flags[d][sid]: the (d+1)! chains of faces ending at the d-simplex, as the
+    # new vertices (barycenters) of their members; the children of the simplex
+    flags = [K.simplex_rows[0][:, None, :]]
+    for d in range(1, K.dim + 1):
+        lower = flags[-1][K.faces[d]].reshape(K.n_simplices(d), -1, d)
+        tip = np.broadcast_to(first[d] + np.arange(len(lower))[:, None, None], lower.shape[:2] + (1,))
+        flags.append(np.concatenate([lower, tip], axis=2))
+    children = [(np.repeat(np.arange(len(f)), f.shape[1]), np.sort(f.reshape(-1, d + 1), axis=1))
+                for d, f in enumerate(flags)]
+    return _assemble_subdivision(K, new_vertices, children)
 
 
 def _edge_midpoint(K: EmbeddedComplex, edge):
@@ -488,17 +486,16 @@ def _edge_midpoint(K: EmbeddedComplex, edge):
     w = K.vertices.shape[0]
     midpoint = 0.5 * (K.vertices[a] + K.vertices[b])
     new_vertices = np.vstack([K.vertices, midpoint[None, :]])
-    raw_children = {}
-    for d in range(K.dim + 1):
-        for sid in range(K.n_simplices(d)):
-            t = K.simplex_tuple(d, sid)
-            if a in t and b in t:
-                left = tuple(sorted(v for v in t if v != b) + [w])
-                right = tuple(sorted(v for v in t if v != a) + [w])
-                raw_children[(d, sid)] = [left, right]
-            else:
-                raw_children[(d, sid)] = [t]
-    return _assemble_subdivision(K, new_vertices, raw_children)
+    children = []
+    for rows in K.simplex_rows:
+        # a simplex on the edge splits in two: one keeps a, the other b
+        split = np.any(rows == a, axis=1) & np.any(rows == b, axis=1)
+        whole, cut = np.flatnonzero(~split), rows[split]
+        left, right = (np.sort(np.where(cut == v, w, cut), axis=1) for v in (b, a))
+        parents = np.concatenate([whole, np.flatnonzero(split).repeat(2)])
+        kids = np.vstack([rows[whole], np.stack([left, right], axis=1).reshape(-1, rows.shape[1])])
+        children.append((parents, kids))
+    return _assemble_subdivision(K, new_vertices, children)
 
 
 def subdivide(K: EmbeddedComplex, rule: str, edge=None):
@@ -550,20 +547,13 @@ def pushforward_complex(K: EmbeddedComplex, images, frozen=(), gamma=None, tol=N
         if pairs:
             u, v = sorted(pairs)[0]
             raise ValueError(f"vertex collision: images of {u} and {v} coincide")
-    kept = []
-    simplex_map = {}
-    dropped = []
-    for d in range(K.dim + 1):
-        level = []
-        flat = degenerate(_stacked(coords, K.simplices[d], d), tol)
-        for sid, t in enumerate(K.simplices[d]):
-            if flat[sid]:
-                simplex_map[(d, sid)] = None
-                dropped.append((d, sid))
-            else:
-                simplex_map[(d, sid)] = len(level)
-                level.append(t)
-        kept.append(level)
+    kept, simplex_map, dropped = [], {}, []
+    for d, rows in enumerate(K.simplex_rows):
+        flat = degenerate(coords[rows], tol)
+        new_ids = np.where(flat, -1, np.cumsum(~flat) - 1).tolist()
+        simplex_map.update({(d, sid): (None if j < 0 else j) for sid, j in enumerate(new_ids)})
+        dropped += [(d, sid) for sid in np.flatnonzero(flat).tolist()]
+        kept.append(rows[~flat])
     image = EmbeddedComplex(coords, kept)
     image_gamma = None
     if gamma is not None:

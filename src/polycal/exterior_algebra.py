@@ -166,10 +166,16 @@ def wedge(a: Multivector, b: Multivector) -> Multivector:
         raise ValueError(
             f"grade overflow: {a.grade} + {b.grade} > ambient dimension {a.ambient_dim}"
         )
-    ia, ib, iout, signs = _wedge_table(a.ambient_dim, a.grade, b.grade)
-    out = np.zeros(math.comb(a.ambient_dim, out_grade))
-    np.add.at(out, iout, signs * a.coeffs[ia] * b.coeffs[ib])
-    return Multivector(a.ambient_dim, out_grade, out)
+    out = wedge_rows(a.coeffs[None], b.coeffs[None], a.ambient_dim, a.grade, b.grade)
+    return Multivector(a.ambient_dim, out_grade, out[0])
+
+
+def wedge_rows(a, b, ambient_dim: int, p: int, q: int) -> np.ndarray:
+    """Row-wise wedge of stacked grade-p and grade-q coefficient rows."""
+    ia, ib, iout, signs = _wedge_table(ambient_dim, p, q)
+    out = np.zeros((len(a), math.comb(ambient_dim, p + q)))
+    np.add.at(out.T, iout, (signs * a[:, ia] * b[:, ib]).T)
+    return out
 
 
 def inner(a: Multivector, b: Multivector) -> float:

@@ -14,7 +14,8 @@ residual.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -26,10 +27,11 @@ from .complexes import (
     SubdivisionMap,
     build_complex,
     json_list,
+    longest_edge,
     pushforward_complex,
     subdivide,
 )
-from .exterior_algebra import Multivector, wedge
+from .exterior_algebra import wedge_rows
 from .groups import MultivectorGroup
 
 
@@ -57,10 +59,7 @@ class PolyhedralVarifold:
         return float(sum(c * vols[i] for i, c in self.weights.items()))
 
     def support_vertices(self) -> frozenset:
-        verts = set()
-        for i in self.weights:
-            verts.update(self.complex.simplex_tuple(self.dimension, i))
-        return frozenset(verts)
+        return frozenset(self.complex.simplex_rows[self.dimension][list(self.weights)].ravel().tolist())
 
     def __repr__(self):
         return f"PolyhedralVarifold(dim={self.dimension}, simplices={len(self.weights)})"
@@ -96,23 +95,30 @@ def conormal(K: EmbeddedComplex, sigma, tau, tol=None) -> np.ndarray:
     tau_t = tuple(sorted(int(v) for v in tau))
     if not set(tau_t) < set(sigma_t) or len(tau_t) != len(sigma_t) - 1:
         raise ValueError(f"{tau_t} is not a facet of {sigma_t}")
-    opposite = next(v for v in sigma_t if v not in tau_t)
-    return _conormal_points(K.vertices, tau_t, opposite, tol)
+    slot = next(j for j, v in enumerate(sigma_t) if v not in tau_t)
+    return _conormals(K.vertices, np.array([sigma_t]), np.array([slot]), tol)[0]
 
 
-def _conormal_points(coords, tau_t, opposite, tol=None) -> np.ndarray:
-    tol = config.zero_tol(tol)
-    base = coords[tau_t[0]]
-    d = coords[opposite] - base
-    if len(tau_t) > 1:
-        spans = coords[list(tau_t[1:])] - base
-        gram = spans @ spans.T
-        coeff = np.linalg.solve(gram, spans @ d)
-        d = d - spans.T @ coeff
-    scale = float(np.linalg.norm(d))
-    if scale <= tol:
+def _conormals(coords, sigmas, slots, tol=None) -> np.ndarray:
+    """Outward unit conormals across facet ``slots[i]`` of simplex ``sigmas[i]``.
+
+    ``sigmas`` holds (n, m+1) vertex ids; facet j drops vertex j, which is the
+    opposite vertex.  One stacked Gram solve projects the opposite vertex off
+    each facet's affine span.  A height at most ``tol`` times the simplex's
+    longest edge is degenerate, the scale-relative rule of ``degenerate``.
+    """
+    n, k = sigmas.shape
+    facets = sigmas[np.arange(k)[None, :] != slots[:, None]].reshape(n, k - 1)
+    base = coords[facets[:, 0]]
+    d = coords[sigmas[np.arange(n), slots]] - base
+    if k > 2:
+        spans = coords[facets[:, 1:]] - base[:, None, :]
+        coeff = np.linalg.solve(spans @ spans.transpose(0, 2, 1), spans @ d[:, :, None])
+        d = d - (spans.transpose(0, 2, 1) @ coeff)[:, :, 0]
+    scale = np.linalg.norm(d, axis=1)
+    if np.any(scale <= config.zero_tol(tol) * longest_edge(coords[sigmas])):
         raise ValueError("degenerate geometry: face and opposite vertex collapse")
-    return -d / scale
+    return -d / scale[:, None]
 
 
 @dataclass
@@ -121,18 +127,32 @@ class FaceBalance:
     face_tuple: tuple
     residual: np.ndarray
     residual_norm: float
-    incident: list  # (simplex id, weight, conormal vector)
+    incident: list  # (simplex tuple, weight, conormal vector)
     boundary_coeff_norm: float
     crosscheck_residual: float
     free_edge: bool
     passed: bool
 
 
+class _Records(Sequence):
+    """A sized sequence whose items ``make(i)`` builds on access."""
+
+    def __init__(self, n: int, make):
+        self._n, self._make = n, make
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, k):
+        picked = range(self._n)[k]
+        return [self._make(i) for i in picked] if isinstance(picked, range) else self._make(picked)
+
+
 @dataclass
 class StationarityReport:
     dimension: int
     tol: float
-    faces: list = field(default_factory=list)
+    faces: Sequence = field(repr=False)  # of FaceBalance, built on access
     max_residual: float = 0.0
     is_stationary: bool = True
     max_crosscheck_residual: float = 0.0
@@ -174,10 +194,11 @@ class StationarityReport:
 def stationarity(
     V: PolyhedralVarifold, gamma: BoundaryRegion, tol=None
 ) -> StationarityReport:
-    """Conormal balance at every interior (m-1)-face.
+    """Conormal balance at every interior (m-1)-face, in one batch.
 
-    A face fails when the weighted conormal sum exceeds the tolerance or when
-    it has a single incident weighted simplex (an unbalanced free edge).
+    A face fails when the norm of its weighted conormal sum exceeds ``tol``
+    times the sum of its incident weights, or when it has a single incident
+    weighted simplex (an unbalanced free edge).
     """
     tol = config.zero_tol(tol)
     K, m = V.complex, V.dimension
@@ -185,53 +206,54 @@ def stationarity(
         raise ValueError("boundary region does not match the varifold")
     A = chainify(V)
     bchain = boundary(A)
-    report = StationarityReport(dimension=m, tol=tol, chain=A, chain_boundary=bchain)
-    n = K.ambient_dim
-    brows = np.zeros((K.n_simplices(m - 1), bchain.group.width))
+    nf = K.n_simplices(m - 1)
+    brows = np.zeros((nf, bchain.group.width))
     brows[bchain.ids] = bchain.coeffs
-    for fid in range(K.n_simplices(m - 1)):
-        if fid in gamma.face_ids:
-            continue
-        incident = []
-        residual = np.zeros(n)
-        face_t = K.simplex_tuple(m - 1, fid)
-        for sid, _slot in K.cofaces[m - 1][fid]:
-            c = V.weights.get(sid)
-            if c is None:
-                continue
-            sigma_t = K.simplex_tuple(m, sid)
-            opposite = next(v for v in sigma_t if v not in face_t)
-            nu = _conormal_points(K.vertices, face_t, opposite, tol=tol)
-            incident.append((sigma_t, c, nu))
-            residual = residual + c * nu
-        residual_norm = float(np.linalg.norm(residual))
-        bnorm = float(np.linalg.norm(brows[fid]))
-        if incident:
-            eta_tau = K.unit_blade(m - 1, fid)
-            predicted = wedge(Multivector.from_vector(residual), eta_tau)
-            crosscheck = float(np.linalg.norm(brows[fid] - predicted.coeffs))
-        else:
-            crosscheck = bnorm
-        free_edge = len(incident) == 1
-        passed = (residual_norm <= tol) and not free_edge
-        report.faces.append(
-            FaceBalance(
-                face_id=fid,
-                face_tuple=K.simplex_tuple(m - 1, fid),
-                residual=residual,
-                residual_norm=residual_norm,
-                incident=incident,
-                boundary_coeff_norm=bnorm,
-                crosscheck_residual=crosscheck,
-                free_edge=free_edge,
-                passed=passed,
-            )
-        )
-        report.max_residual = max(report.max_residual, residual_norm)
-        report.max_crosscheck_residual = max(report.max_crosscheck_residual, crosscheck)
-        if not passed:
-            report.is_stationary = False
-    return report
+    interior = np.ones(nf, dtype=bool)
+    interior[list(gamma.face_ids)] = False
+    # (weighted simplex, slot) pairs on interior faces, stably sorted by face
+    sids = np.array(sorted(V.weights), dtype=np.intp)
+    face = K.faces[m][sids].ravel()
+    sid = np.repeat(sids, m + 1)
+    slot = np.tile(np.arange(m + 1), len(sids))
+    keep = np.flatnonzero(interior[face])
+    keep = keep[np.argsort(face[keep], kind="stable")]
+    face, sid, slot = face[keep], sid[keep], slot[keep]
+    weight = np.array([V.weights[i] for i in sid.tolist()])
+    nu = _conormals(K.vertices, K.simplex_rows[m][sid], slot, tol)
+    residual = np.zeros((nf, K.ambient_dim))
+    np.add.at(residual, face, weight[:, None] * nu)
+    residual_norm = np.linalg.norm(residual, axis=1)
+    count = np.bincount(face, minlength=nf)
+    bnorm = np.linalg.norm(brows, axis=1)
+    crosscheck = bnorm.copy()
+    hit = np.flatnonzero(count)
+    if hit.size:
+        predicted = wedge_rows(residual[hit], K.unit_blades(m - 1)[hit], K.ambient_dim, 1, m - 1)
+        crosscheck[hit] = np.linalg.norm(brows[hit] - predicted, axis=1)
+    free_edge = count == 1
+    passed = (residual_norm <= tol * np.bincount(face, weight, minlength=nf)) & ~free_edge
+    fids = np.flatnonzero(interior)
+    bounds = np.searchsorted(face, np.stack([fids, fids + 1], axis=1)).tolist()
+
+    def record(k):
+        fid, (lo, hi) = int(fids[k]), bounds[k]
+        incident = zip(sid[lo:hi].tolist(), weight[lo:hi].tolist(), nu[lo:hi])
+        incident = [(K.simplex_tuple(m, i), c, n) for i, c, n in incident]
+        return FaceBalance(fid, K.simplex_tuple(m - 1, fid), residual[fid], float(residual_norm[fid]),
+                           incident, float(bnorm[fid]), float(crosscheck[fid]),
+                           bool(free_edge[fid]), bool(passed[fid]))
+
+    return StationarityReport(
+        dimension=m,
+        tol=tol,
+        faces=_Records(len(fids), record),
+        max_residual=float(residual_norm[fids].max(initial=0.0)),
+        is_stationary=bool(passed[fids].all()),
+        max_crosscheck_residual=float(crosscheck[fids].max(initial=0.0)),
+        chain=A,
+        chain_boundary=bchain,
+    )
 
 
 def chainify(V: PolyhedralVarifold) -> Chain:
@@ -335,18 +357,9 @@ class DeformReport:
     passed: bool
 
     def to_json(self):
-        return {
-            "trials": self.trials,
-            "accepted": self.accepted,
-            "rejected": self.rejected,
-            "min_ratio": self.min_ratio,
-            "max_ratio": self.max_ratio,
-            "mean_ratio": self.mean_ratio,
-            "mass_original": self.mass_original,
-            "magnitude": self.magnitude,
-            "seed": self.seed,
-            "pass": self.passed,
-        }
+        doc = asdict(self)
+        doc["pass"] = doc.pop("passed")
+        return doc
 
 
 def deform_experiment(V, gamma, trials: int, magnitude: float, seed: int = 0, tol=None) -> DeformReport:

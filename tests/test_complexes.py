@@ -130,11 +130,50 @@ def test_array_construction_matches_python_closure(n_dim, n_points):
             assert K.simplex_id(t) == (d, i) and K.simplex_tuple(d, i) == t
 
 
+def test_array_construction_with_keys_beyond_int64():
+    # 700 vertices and 7-vertex simplices: 700**7 > 2**63, so the 6-simplices
+    # are ordered as records, the lower levels as mixed-radix integers
+    rng = np.random.default_rng(71)
+    points = rng.uniform(size=(700, 6))
+    tops = [[int(v) for v in rng.choice(700, size=7, replace=False)] for _ in range(3)]
+    K = build_complex(points, tops)
+    simplices, faces, maximal = reference_complex(tops)
+    assert K.simplices == simplices
+    assert [K.faces[d].tolist() for d in range(1, K.dim + 1)] == faces
+    assert K.maximal_simplices() == maximal
+
+
 def test_direct_construction_with_a_missing_face_raises():
     with pytest.raises(ValueError, match="missing"):
         EmbeddedComplex([[0, 0], [1, 0], [0, 1]], [[(0,), (1,), (2,)], [(0, 1), (1, 2)], [(0, 1, 2)]])
     with pytest.raises(ValueError, match=r"face \(2,\) of \(1, 2\) missing"):
         EmbeddedComplex([[0, 0], [1, 0], [0, 1]], [[(0,), (1,)], [(0, 1), (1, 2)]])
+    for level in ([(0,), (3,)], [(0,), (-1,)]):
+        with pytest.raises(ValueError, match="increasing vertex ids"):
+            EmbeddedComplex([[0, 0], [1, 0], [0, 1]], [level])
+    with pytest.raises(ValueError, match="increasing vertex ids"):
+        EmbeddedComplex([[0, 0], [1, 0], [0, 1]], [[(0,), (1,)], [(1, 0)]])
+
+
+@pytest.mark.parametrize("n_dim, n_points", [(2, 20), (3, 12)])
+def test_subdivisions_are_canonical_complexes(n_dim, n_points):
+    from scipy.spatial import Delaunay
+
+    rng = np.random.default_rng(n_dim * 10 + n_points)
+    points = rng.uniform(size=(n_points, n_dim))
+    K = build_complex(points, Delaunay(points).simplices.tolist())
+    edge = K.simplex_tuple(1, int(rng.integers(K.n_simplices(1))))
+    for rule in ("barycentric", "edge_midpoint"):
+        refined, corr = subdivide(K, rule, edge=edge)
+        tops = [refined.simplex_tuple(d, i) for d, i in refined.maximal_simplices()]
+        assert refined.simplices == build_complex(refined.vertices, tops).simplices
+        for d in range(K.dim + 1):
+            assert all(list(t) == sorted(set(t)) for t in refined.simplices[d])
+            per_parent = np.diff(corr.matrices[d].indptr).tolist()
+            if rule == "barycentric":
+                assert per_parent == [math.factorial(d + 1)] * K.n_simplices(d)
+            else:
+                assert per_parent == [2 if set(edge) <= set(t) else 1 for t in K.simplices[d]]
 
 
 def test_double_incidence_cancellation():

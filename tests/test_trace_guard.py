@@ -81,9 +81,9 @@ def test_certificate_builds_no_face_records(tmp_path, monkeypatch):
     built = []
 
     class CountedFaceBalance(polycal.varifolds.FaceBalance):
-        def __init__(self, **fields):
-            built.append(fields["face_id"])
-            super().__init__(**fields)
+        def __init__(self, *fields):
+            built.append(fields[0])
+            super().__init__(*fields)
 
     monkeypatch.setattr(polycal.varifolds, "FaceBalance", CountedFaceBalance)
     bundle = str(tmp_path / "bundle.json")
