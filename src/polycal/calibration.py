@@ -16,7 +16,7 @@ replay them.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -188,7 +188,12 @@ class StokesReport:
     tol: float
 
     def to_json(self):
-        return asdict(self)
+        return {
+            "trials": self.trials,
+            "max_normalized_residual": self.max_normalized_residual,
+            "passed": self.passed,
+            "tol": self.tol,
+        }
 
 
 def check_stokes(K: EmbeddedComplex, m: int, trials: int = 100, tol: float = 1e-10, seed: int = 0) -> StokesReport:
@@ -225,7 +230,14 @@ class FlatBoundReport:
     notes: str = ""
 
     def to_json(self):
-        return asdict(self)
+        return {
+            "phi": self.phi,
+            "flat_value": self.flat_value,
+            "mass": self.mass,
+            "passed": self.passed,
+            "solver_status": self.solver_status,
+            "notes": self.notes,
+        }
 
 
 def phi_flat_bound(A: Chain, solver_config: SolverConfig | None = None, tol: float = 1e-8) -> FlatBoundReport:

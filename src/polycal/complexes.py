@@ -33,26 +33,15 @@ def _facets(rows) -> np.ndarray:
     return rows[:, [[i for i in range(k) if i != j] for j in range(k)]]
 
 
-def _lexical(rows, base: int) -> np.ndarray:
-    """(n, k) rows of integers in [0, base) as n keys in lexicographic order.
-
-    A key is a mixed-radix int64 when base**k fits, else a record compared
-    field by field.
-    """
+def _records(rows) -> np.ndarray:
+    """(n, k) integer rows as n records that compare field by field, i.e. lexicographically."""
     rows = np.ascontiguousarray(rows, dtype=np.intp)
-    if base ** rows.shape[1] < 2**63:
-        return rows @ np.array([base**i for i in range(rows.shape[1])][::-1], dtype=np.int64)
     return rows.view([(f"f{i}", rows.dtype) for i in range(rows.shape[1])]).reshape(-1)
 
 
-def _distinct(rows, base: int) -> np.ndarray:
-    """The distinct rows of ``rows``, in lexicographic order."""
-    return rows[np.unique(_lexical(rows, base), return_index=True)[1]]
-
-
-def _find(level, rows, base: int):
+def _find(level, rows):
     """Positions of ``rows`` in the sorted distinct rows ``level``, and which are there."""
-    pos = np.searchsorted(_lexical(level, base), _lexical(rows, base))
+    pos = np.searchsorted(_records(level), _records(rows))
     found = pos < len(level)
     found[found] = np.all(level[pos[found]] == rows[found], axis=1)
     return pos, found
@@ -100,7 +89,7 @@ class EmbeddedComplex:
                   .reshape(len(s), d + 1) for d, s in enumerate(simplices_by_dim)]
         if any(np.any((s < 0) | (s >= nv)) or np.any(s[:, 1:] <= s[:, :-1]) for s in levels):
             raise ValueError(f"simplices must be increasing vertex ids in 0..{nv - 1}")
-        self.simplex_rows = [_distinct(s, nv) for s in levels]
+        self.simplex_rows = [np.unique(s, axis=0) for s in levels]
         while self.simplex_rows and not len(self.simplex_rows[-1]):
             self.simplex_rows.pop()
         total = sum(len(s) for s in self.simplex_rows)
@@ -113,7 +102,7 @@ class EmbeddedComplex:
         self.faces = [None]
         for d in range(1, len(self.simplex_rows)):
             facets = _facets(self.simplex_rows[d]).reshape(-1, d)
-            table, found = _find(self.simplex_rows[d - 1], facets, nv)
+            table, found = _find(self.simplex_rows[d - 1], facets)
             if not found.all():
                 k = int(np.argmin(found))
                 face, t = tuple(facets[k].tolist()), self.simplices[d][k // (d + 1)]
@@ -291,10 +280,10 @@ def _closed_complex(vertices, tops) -> EmbeddedComplex:
     each top must be nondegenerate."""
     tops = [np.array(t, dtype=np.intp).reshape(-1, d + 1) for d, t in enumerate(tops)]
     # face closure, top down, one lexicographic deduplication per dimension
-    levels = [_distinct(tops[-1], len(vertices))]
+    levels = [np.unique(tops[-1], axis=0)]
     for d in range(len(tops) - 2, -1, -1):
         below = np.vstack([tops[d], _facets(levels[0]).reshape(-1, d + 1)])
-        levels.insert(0, _distinct(below, len(vertices)))
+        levels.insert(0, np.unique(below, axis=0))
     # the complex rejects non-finite vertices, which would trip the flatness test
     K = EmbeddedComplex(vertices, levels)
     for d in range(1, len(tops)):
@@ -373,8 +362,13 @@ def _pair_overlap_weight(pa, pb, shared_a, shared_b):
     ka, kb = pa.shape[0], pb.shape[0]
     n = pa.shape[1]
     # variables: barycentric coords lambda (ka) then mu (kb)
-    c = -np.ones(ka + kb)
-    c[list(shared_a) + [ka + j for j in shared_b]] = 0.0
+    c = np.zeros(ka + kb)
+    for i in range(ka):
+        if i not in shared_a:
+            c[i] = -1.0
+    for j in range(kb):
+        if j not in shared_b:
+            c[ka + j] = -1.0
     a_eq = np.zeros((n + 2, ka + kb))
     b_eq = np.zeros(n + 2)
     a_eq[:n, :ka] = pa.T
@@ -449,7 +443,7 @@ def _assemble_subdivision(K, new_vertices, children):
     refined = _closed_complex(new_vertices, [rows for _, rows in children])
     matrices = []
     for d, (parents, rows) in enumerate(children):
-        kids = _find(refined.simplex_rows[d], rows, len(new_vertices))[0]
+        kids = _find(refined.simplex_rows[d], rows)[0]
         dots = rowdot(K.unit_blades(d)[parents], refined.unit_blades(d)[kids])
         skew = np.flatnonzero(np.abs(np.abs(dots) - 1.0) > 1e-6)
         if skew.size:

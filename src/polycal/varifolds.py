@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -357,9 +357,18 @@ class DeformReport:
     passed: bool
 
     def to_json(self):
-        doc = asdict(self)
-        doc["pass"] = doc.pop("passed")
-        return doc
+        return {
+            "trials": self.trials,
+            "accepted": self.accepted,
+            "rejected": self.rejected,
+            "min_ratio": self.min_ratio,
+            "max_ratio": self.max_ratio,
+            "mean_ratio": self.mean_ratio,
+            "mass_original": self.mass_original,
+            "magnitude": self.magnitude,
+            "seed": self.seed,
+            "pass": self.passed,
+        }
 
 
 def deform_experiment(V, gamma, trials: int, magnitude: float, seed: int = 0, tol=None) -> DeformReport:

@@ -130,12 +130,13 @@ def test_array_construction_matches_python_closure(n_dim, n_points):
             assert K.simplex_id(t) == (d, i) and K.simplex_tuple(d, i) == t
 
 
-def test_array_construction_with_keys_beyond_int64():
-    # 700 vertices and 7-vertex simplices: 700**7 > 2**63, so the 6-simplices
-    # are ordered as records, the lower levels as mixed-radix integers
+def test_array_construction_with_large_vertex_ids():
+    # 7-vertex simplices on vertex ids 1,000..1,499: base-1500 keys of the
+    # 5-simplices, whose face tables are looked up, straddle 2**63, so an
+    # int64 mixed-radix key would wrap and misorder them
     rng = np.random.default_rng(71)
-    points = rng.uniform(size=(700, 6))
-    tops = [[int(v) for v in rng.choice(700, size=7, replace=False)] for _ in range(3)]
+    points = rng.uniform(size=(1500, 6))
+    tops = [[int(v) for v in rng.choice(np.arange(1000, 1500), size=7, replace=False)] for _ in range(6)]
     K = build_complex(points, tops)
     simplices, faces, maximal = reference_complex(tops)
     assert K.simplices == simplices
