@@ -33,15 +33,24 @@ def _facets(rows) -> np.ndarray:
     return rows[:, [[i for i in range(k) if i != j] for j in range(k)]]
 
 
-def _records(rows) -> np.ndarray:
-    """(n, k) integer rows as n records that compare field by field, i.e. lexicographically."""
-    rows = np.ascontiguousarray(rows, dtype=np.intp)
-    return rows.view([(f"f{i}", rows.dtype) for i in range(rows.shape[1])]).reshape(-1)
+def _lexical(rows) -> np.ndarray:
+    """(n, k) non-negative integer rows as n keys in their lexicographic order.
+
+    A key is the row's big-endian bytes, which compare bytewise as the row
+    compares entry by entry, whatever the size of the entries.
+    """
+    raw = np.ascontiguousarray(rows, dtype=">u8")
+    return raw.view(np.dtype((np.void, raw.itemsize * raw.shape[1]))).reshape(-1)
+
+
+def _distinct(rows) -> np.ndarray:
+    """The distinct rows of ``rows``, in lexicographic order."""
+    return rows[np.unique(_lexical(rows), return_index=True)[1]]
 
 
 def _find(level, rows):
     """Positions of ``rows`` in the sorted distinct rows ``level``, and which are there."""
-    pos = np.searchsorted(_records(level), _records(rows))
+    pos = np.searchsorted(_lexical(level), _lexical(rows))
     found = pos < len(level)
     found[found] = np.all(level[pos[found]] == rows[found], axis=1)
     return pos, found
@@ -89,7 +98,7 @@ class EmbeddedComplex:
                   .reshape(len(s), d + 1) for d, s in enumerate(simplices_by_dim)]
         if any(np.any((s < 0) | (s >= nv)) or np.any(s[:, 1:] <= s[:, :-1]) for s in levels):
             raise ValueError(f"simplices must be increasing vertex ids in 0..{nv - 1}")
-        self.simplex_rows = [np.unique(s, axis=0) for s in levels]
+        self.simplex_rows = [_distinct(s) for s in levels]
         while self.simplex_rows and not len(self.simplex_rows[-1]):
             self.simplex_rows.pop()
         total = sum(len(s) for s in self.simplex_rows)
@@ -280,10 +289,10 @@ def _closed_complex(vertices, tops) -> EmbeddedComplex:
     each top must be nondegenerate."""
     tops = [np.array(t, dtype=np.intp).reshape(-1, d + 1) for d, t in enumerate(tops)]
     # face closure, top down, one lexicographic deduplication per dimension
-    levels = [np.unique(tops[-1], axis=0)]
+    levels = [_distinct(tops[-1])]
     for d in range(len(tops) - 2, -1, -1):
         below = np.vstack([tops[d], _facets(levels[0]).reshape(-1, d + 1)])
-        levels.insert(0, np.unique(below, axis=0))
+        levels.insert(0, _distinct(below))
     # the complex rejects non-finite vertices, which would trip the flatness test
     K = EmbeddedComplex(vertices, levels)
     for d in range(1, len(tops)):
