@@ -58,7 +58,7 @@ def _find(level, rows):
 
 def longest_edge(points) -> np.ndarray:
     """Longest edge length of each of the stacked (..., m+1, N) simplices."""
-    i, j = np.triu_indices(points.shape[-2], 1)
+    i, j = np.array(list(itertools.combinations(range(points.shape[-2]), 2)), dtype=np.intp).reshape(-1, 2).T
     edges = points[..., i, :] - points[..., j, :]
     return np.sqrt(np.max(np.sum(edges * edges, axis=-1), axis=-1, initial=0.0))
 
@@ -183,8 +183,13 @@ class EmbeddedComplex:
 
     def maximal_simplices(self):
         """(d, id) pairs with no coface: ids absent from faces[d+1]."""
-        return [(d, i) for d in range(self.dim + 1) for i in np.setdiff1d(
-            np.arange(self.n_simplices(d)), self.faces[d + 1] if d < self.dim else []).tolist()]
+        out = []
+        for d in range(self.dim + 1):
+            free = np.ones(self.n_simplices(d), dtype=bool)
+            if d < self.dim:
+                free[self.faces[d + 1]] = False
+            out += [(d, i) for i in np.flatnonzero(free).tolist()]
+        return out
 
     def boundary_matrix(self, d: int):
         """Sparse incidence matrix (n_{d-1} x n_d) with entries (-1)^j."""
