@@ -58,7 +58,8 @@ def _find(level, rows):
 
 def longest_edge(points) -> np.ndarray:
     """Longest edge length of each of the stacked (..., m+1, N) simplices."""
-    i, j = np.array(list(itertools.combinations(range(points.shape[-2]), 2)), dtype=np.intp).reshape(-1, 2).T
+    pairs = list(itertools.combinations(range(points.shape[-2]), 2))
+    i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     edges = points[..., i, :] - points[..., j, :]
     return np.sqrt(np.max(np.sum(edges * edges, axis=-1), axis=-1, initial=0.0))
 
