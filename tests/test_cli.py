@@ -311,6 +311,18 @@ def test_heavy_balanced_y_is_stationary(tmp_path, capsys):
     assert (code, report["is_stationary"]) == (0, True)
 
 
+def test_heavy_balanced_y_certifies(tmp_path, capsys):
+    # the boundary-support check is measured against the largest coefficient
+    bundle = str(tmp_path / "y.json")
+    argv = ["demo", "custom_net_cone", "--directions", Y_120, "--weights", "[1e8, 1e8, 1e8]"]
+    assert main(argv + ["--out", bundle]) == 0
+    code, cert = run_cli(capsys, "certify", "--in", bundle)
+    assert (code, cert["conclusion"]) == (0, "calibrated-minimizer")
+    support = next(c for c in cert["checks"] if c["name"] == "boundary-support")
+    assert support["tol"] == pytest.approx(1e-9 * 1e8)
+    assert cert["provenance"]["offending_boundary"] == []
+
+
 def test_light_l_shape_is_not_stationary(tmp_path, capsys):
     bundle = str(tmp_path / "l.json")
     argv = ["demo", "custom_net_cone", "--directions", "[[1, 0], [0, 1]]",

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.optimize import linprog
 
 from polycal.chains import Chain, boundary, make_chain, mass, transport_chain
 from polycal.complexes import build_complex, subdivide
@@ -15,8 +17,22 @@ from polycal.solver import (
     min_mass_fixed_boundary,
 )
 from polycal.varifolds import chainify, generate_example
+from test_acceptance import CATALOG, delaunay_complex, random_lambda_chain
 
 REALS = RealGroup()
+
+
+def within_gap(value, lower_bound, cfg):
+    return value - lower_bound <= cfg.obj_tol * max(1.0, abs(lower_bound))
+
+
+def catalog_cross_check(name):
+    """The certificate's solve: the r0 chain's boundary on one refinement."""
+    K, V, gamma = generate_example(name)
+    refined, corr = subdivide(K, "barycentric")
+    A2 = transport_chain(chainify(V), corr)
+    problem = MinMassProblem(refined, V.dimension, boundary(A2), A2.group)
+    return A2, min_mass_fixed_boundary(problem)
 
 
 def triangle_with_filling():
@@ -121,6 +137,22 @@ def test_solver_is_deterministic():
     assert r1.primal_residual == r2.primal_residual
 
 
+@pytest.mark.parametrize("name", CATALOG)
+def test_catalog_cross_check_stops_on_its_own_gap(name):
+    A2, res = catalog_cross_check(name)
+    assert res.status == "converged"
+    assert res.lower_bound <= mass(A2) + res.config.primal_tol
+    assert res.gap == res.objective - res.lower_bound
+    assert within_gap(res.objective, res.lower_bound, res.config)
+
+
+def test_tetrahedral_cone_cross_check_iterations():
+    # the iteration count is deterministic; diagonal steps need at most 2,500
+    _, res = catalog_cross_check("tetrahedral_cone")
+    assert res.status == "converged"
+    assert res.iterations <= 2_500
+
+
 def test_solver_config_ignores_unknown_keys():
     cfg = SolverConfig.from_json({"max_iter": 10, "relax": 1.5, "comment": "fast"})
     assert (cfg.max_iter, cfg.relax, cfg.check_every) == (10, 1.5, 100)
@@ -189,3 +221,64 @@ def test_flat_norm_monotone_under_refinement():
     refined, corr = subdivide(K, "barycentric")
     after = flat_norm_solve(transport_chain(A, corr)).value
     assert after <= before + 1e-8
+
+
+def test_converged_flat_norms_carry_their_duality_gap():
+    # the acceptance suite's criterion-6 draws
+    rng = np.random.default_rng(66)
+    pool = [delaunay_complex(rng, 14, 2) for _ in range(4)]
+    cfg = SolverConfig(max_iter=60_000)
+    for i in range(100):
+        res = flat_norm_solve(random_lambda_chain(rng, pool[i % len(pool)], 1), cfg)
+        assert res.status == "converged", i
+        assert within_gap(res.value, res.lower_bound, cfg), i
+
+
+# ---------------------------------------------------------------------------
+# exact cross-check: for R coefficients both problems are linear programs
+
+def lp_optimum(M, weights, target):
+    """min w.|x| s.t. M x = c, with x split into positive and negative parts."""
+    res = linprog(
+        np.concatenate([weights, weights]),
+        A_eq=sparse.hstack([M, -M]),
+        b_eq=target,
+        bounds=(0, None),
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+def random_real_chain(rng, K, m, max_terms=6):
+    n = K.n_simplices(m)
+    picks = rng.choice(n, size=int(rng.integers(1, min(max_terms, n) + 1)), replace=False)
+    return make_chain(K, m, REALS, [(K.simplex_tuple(m, int(i)), rng.standard_normal()) for i in picks])
+
+
+def dense(chain):
+    out = np.zeros(chain.complex.n_simplices(chain.dimension))
+    out[chain.ids] = chain.coeffs[:, 0]
+    return out
+
+
+def test_scalar_solves_match_the_exact_lp():
+    rng = np.random.default_rng(14)
+    cfg = SolverConfig()
+    for _ in range(8):
+        K = delaunay_complex(rng, 14, 2)
+        A = random_real_chain(rng, K, 1)
+        b = boundary(A)
+        res = min_mass_fixed_boundary(MinMassProblem(K, 1, b, REALS, cfg))
+        lp = lp_optimum(K.boundary_matrix(1), K.volumes(1), dense(b))
+        assert res.status == "converged"
+        assert res.lower_bound <= lp + cfg.primal_tol
+        assert abs(res.objective - lp) <= cfg.obj_tol * max(1.0, lp)
+
+        flat = flat_norm_solve(A, cfg)
+        n1 = K.n_simplices(1)
+        M = sparse.hstack([sparse.identity(n1), -K.boundary_matrix(2)])
+        lp = lp_optimum(M, np.concatenate([K.volumes(1), K.volumes(2)]), dense(A))
+        assert flat.status == "converged"
+        assert flat.lower_bound <= lp + cfg.primal_tol
+        assert abs(flat.value - lp) <= cfg.obj_tol * max(1.0, lp)

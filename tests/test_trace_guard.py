@@ -71,6 +71,7 @@ def test_trace_targets_resolve_and_record(tmp_path):
     assert summary["counts"]["complexes.geometry.blades"] > 0
     assert summary["counts"]["chains.terms"] > 0
     assert solver_summary["counts"]["solver.iterations"] > 0
+    assert solver_summary["counts"]["solver.converged"] == 1
     for span in ("complexes.subdivide", "chains.transport", "solver.min_mass"):
         assert span in solver_summary["self"], span
 
