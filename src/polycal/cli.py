@@ -84,7 +84,7 @@ def _solver_config(args) -> SolverConfig:
     if args.solver_config:
         with open(args.solver_config) as handle:
             return SolverConfig.from_json(json.load(handle))
-    return SolverConfig(seed=args.seed)
+    return SolverConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +129,7 @@ def _cmd_minimize(args, kinds):
     problem = MinMassProblem(K, b.dimension + 1, b, b.group, config)
     result = min_mass_fixed_boundary(problem)
     payload = result.to_json()
-    payload["seed"] = config.seed
+    payload["seed"] = args.seed
     return (0 if result.status == "converged" else 1), payload
 
 

@@ -7,11 +7,18 @@ equality constraints,
 
 solved by a relaxed primal-dual splitting: the proximal map of the objective
 is closed-form block shrinkage, the dual update for the equality constraint
-is a translation, and step sizes come from a power-iteration estimate of
-||M||.  Scalar coefficient groups reuse the same loop with 1-dimensional
-blocks, where shrinkage degenerates to soft-thresholding.  Discrete groups
-are out of scope here; minimality over a subgroup is inferred by retagging,
-never solved directly.
+is a translation, and the steps are diagonal (Pock & Chambolle, ICCV 2011):
+1 / sum_i |M_ij| for column j and 1 / sum_j |M_ij| for row i.
+
+There is one stopping rule.  At every check the dual iterate Y is rescaled
+so that max_j ||(M^T Y)_j|| / w_j = 1, which makes -<Y, c> a weak-duality
+lower bound; a solve is converged only when M x = c holds within
+``primal_tol`` and the objective is within ``obj_tol`` (relative) of the best
+bound so far.  The flat norm is the case M = [I, -B], where M^T Y covers the
+dual constraints on both blocks.  Scalar coefficient groups reuse the same
+loop with 1-dimensional blocks, where shrinkage degenerates to
+soft-thresholding.  Discrete groups are out of scope here; minimality over a
+subgroup is inferred by retagging, never solved directly.
 """
 
 from __future__ import annotations
@@ -34,20 +41,17 @@ class SolverConfig:
     max_iter: int = 200_000
     primal_tol: float = 1e-8
     obj_tol: float = 1e-6
-    seed: int = 0
     relax: float = 1.8
     check_every: int = 100
-    stall_tol: float = 1e-10
-    stall_checks: int = 3
 
     def __post_init__(self):
-        for name in ("max_iter", "check_every", "stall_checks", "seed"):
+        for name in ("max_iter", "check_every"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"solver config {name} must be an integer")
-            if value < 1 and name != "seed":
+            if value < 1:
                 raise ValueError(f"solver config {name} must be at least 1")
-        for name in ("primal_tol", "obj_tol", "stall_tol", "relax"):
+        for name in ("primal_tol", "obj_tol", "relax"):
             value = getattr(self, name)
             number = isinstance(value, numbers.Real) and not isinstance(value, bool)
             if not (number and 0 < value < math.inf):
@@ -119,18 +123,10 @@ def _block_size(group) -> int:
     return group.width
 
 
-def _operator_norm(M, seed: int) -> float:
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(M.shape[1])
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(200):
-        w = M.T @ (M @ v)
-        est = float(np.linalg.norm(w))
-        if est == 0.0:
-            return 1e-12
-        v = w / est
-    return 1.02 * math.sqrt(est)
+def _inverse_abs_sums(M, axis):
+    """Pock-Chambolle diagonal steps: 1 / sum |M| along an axis (0 when empty)."""
+    sums = np.asarray(abs(M).sum(axis=axis)).ravel()
+    return np.divide(1.0, sums, out=np.zeros_like(sums), where=sums > 0)
 
 
 def _shrink_rows(V, thresholds):
@@ -139,52 +135,44 @@ def _shrink_rows(V, thresholds):
     return V * factor[:, None]
 
 
-def _solve_blockwise(M, weights, target, cfg: SolverConfig, lower_bound=None, warm=None):
-    """Relaxed primal-dual iteration for min sum w_j ||x_j|| s.t. M x = c."""
+def _dual_bound(MT, weights, target, Y) -> float:
+    """Weak-duality bound of Y rescaled onto max_j ||(M^T Y)_j|| / w_j = 1."""
+    scale = float((np.linalg.norm(MT @ Y, axis=1) / weights).max(initial=0.0))
+    value = -float(np.vdot(Y, target))
+    return max(0.0, value) / scale if scale > 0 else 0.0
+
+
+def _solve_blockwise(M, weights, target, cfg: SolverConfig, warm=None):
+    """Relaxed primal-dual iteration for min sum w_j ||x_j|| s.t. M x = c.
+
+    Converged means primal feasible within ``primal_tol`` and within
+    ``obj_tol`` (relative) of the best weak-duality bound seen so far.
+    """
     M = sparse.csr_matrix(M)
     MT = sparse.csr_matrix(M.T)
     weights = np.asarray(weights, dtype=float)
     X = np.zeros((M.shape[1], target.shape[1])) if warm is None else warm.copy()
     Y = np.zeros_like(target)
-    L = _operator_norm(M, cfg.seed)
-    tau = sigma = 0.99 / L
-    thresholds = tau * weights
-    status = "iteration-cap"
-    obj_prev = None
-    stalled = 0
-    iterations = cfg.max_iter
+    tau = _inverse_abs_sums(M, 0)[:, None]
+    sigma = _inverse_abs_sums(M, 1)[:, None]
+    thresholds = tau[:, 0] * weights
+    status, iterations, bound = "iteration-cap", cfg.max_iter, 0.0
     for k in range(1, cfg.max_iter + 1):
         Xt = _shrink_rows(X - tau * (MT @ Y), thresholds)
-        Yt = Y + sigma * (M @ (2.0 * Xt - X)) - sigma * target
+        Yt = Y + sigma * (M @ (2.0 * Xt - X) - target)
         X += cfg.relax * (Xt - X)
         Y += cfg.relax * (Yt - Y)
         if k % cfg.check_every == 0 or k == cfg.max_iter:
+            bound = max(bound, _dual_bound(MT, weights, target, Y))
             residual = float(np.linalg.norm(M @ X - target))
             obj = float(weights @ np.linalg.norm(X, axis=1))
-            feasible = residual <= cfg.primal_tol
-            if feasible and lower_bound is not None:
-                if obj - lower_bound <= cfg.obj_tol * max(1.0, abs(lower_bound)):
-                    status, iterations = "converged", k
-                    break
-            if obj_prev is not None and abs(obj - obj_prev) <= cfg.stall_tol * max(1.0, obj):
-                stalled += 1
-            else:
-                stalled = 0
-            obj_prev = obj
-            if feasible and stalled >= cfg.stall_checks:
+            if residual <= cfg.primal_tol and obj - bound <= cfg.obj_tol * max(1.0, bound):
                 status, iterations = "converged", k
                 break
-    residual = float(np.linalg.norm(M @ X - target))
-    objective = float(weights @ np.linalg.norm(X, axis=1))
-    return X, {
-        "status": status,
-        "iterations": iterations,
-        "primal_residual": residual,
-        "objective": objective,
-    }
+    return X, {"status": status, "iterations": iterations, "lower_bound": bound}
 
 
-def min_mass_fixed_boundary(problem: MinMassProblem, lower_bound=None) -> SolveResult:
+def min_mass_fixed_boundary(problem: MinMassProblem) -> SolveResult:
     """Minimize mass over chains with the prescribed boundary.
 
     Infeasible targets (boundaries outside the image of the boundary
@@ -214,26 +202,23 @@ def min_mass_fixed_boundary(problem: MinMassProblem, lower_bound=None) -> SolveR
             primal_residual=lsq_residual,
             iterations=0,
             status="infeasible",
-            lower_bound=lower_bound,
-            gap=None,
             config=cfg,
         )
-    X, info = _solve_blockwise(M, weights, target, cfg, lower_bound=lower_bound, warm=warm)
+    X, info = _solve_blockwise(M, weights, target, cfg, warm=warm)
     chain = _canonical(K, m, group, np.arange(X.shape[0]), X)
     objective = mass(chain)
     dC = boundary(chain)
     off_target = target.copy()
     off_target[dC.ids] -= dC.coeffs
     primal_residual = float(np.linalg.norm(off_target))
-    gap = None if lower_bound is None else objective - lower_bound
     return SolveResult(
         chain=chain,
         objective=objective,
         primal_residual=primal_residual,
         iterations=info["iterations"],
         status=info["status"],
-        lower_bound=lower_bound,
-        gap=gap,
+        lower_bound=info["lower_bound"],
+        gap=objective - info["lower_bound"],
         config=cfg,
     )
 
@@ -245,11 +230,13 @@ class FlatNormResult:
     remainder: Chain     # R* = A + boundary(Q*)
     iterations: int
     status: str
+    lower_bound: float
     used_zero_filling: bool = False
 
     def to_json(self):
         return {
             "value": self.value,
+            "lower_bound": self.lower_bound,
             "iterations": self.iterations,
             "status": self.status,
             "used_zero_filling": self.used_zero_filling,
@@ -258,7 +245,7 @@ class FlatNormResult:
         }
 
 
-def flat_norm_solve(A: Chain, config: SolverConfig | None = None, lower_bound=None) -> FlatNormResult:
+def flat_norm_solve(A: Chain, config: SolverConfig | None = None) -> FlatNormResult:
     """Complex-restricted flat norm: min over fillings Q of M(A+dQ) + M(Q).
 
     The reported value is the recomputed objective of the returned feasible
@@ -278,6 +265,7 @@ def flat_norm_solve(A: Chain, config: SolverConfig | None = None, lower_bound=No
             remainder=A,
             iterations=0,
             status="converged",
+            lower_bound=base_mass,  # A is the only feasible point
             used_zero_filling=True,
         )
     n_m, n_q = K.n_simplices(m), K.n_simplices(q_dim)
@@ -287,7 +275,7 @@ def flat_norm_solve(A: Chain, config: SolverConfig | None = None, lower_bound=No
     target = np.zeros((n_m, size))
     target[A.ids] = A.coeffs
     warm = np.vstack([target, np.zeros((n_q, size))])  # exactly feasible: R=A, Q=0
-    X, info = _solve_blockwise(M, weights, target, cfg, lower_bound=lower_bound, warm=warm)
+    X, info = _solve_blockwise(M, weights, target, cfg, warm=warm)
     q_chain = _canonical(K, q_dim, group, np.arange(n_q), X[n_m:])
     remainder = combine(A, boundary(q_chain), 1)
     value = mass(remainder) + mass(q_chain)
@@ -303,5 +291,6 @@ def flat_norm_solve(A: Chain, config: SolverConfig | None = None, lower_bound=No
         remainder=remainder,
         iterations=info["iterations"],
         status=info["status"],
+        lower_bound=info["lower_bound"],
         used_zero_filling=used_zero,
     )

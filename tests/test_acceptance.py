@@ -183,7 +183,7 @@ def test_criterion_4_minimize_reproduces_cone_mass():
         A0 = transport_chain(chainify(V), corr)
         lb = phi(A0)
         problem = MinMassProblem(refined, V.dimension, boundary(A0), A0.group)
-        result = min_mass_fixed_boundary(problem, lower_bound=lb)
+        result = min_mass_fixed_boundary(problem)
         elapsed = time.perf_counter() - t0
         target = V.mass()
         assert result.status == "converged", name

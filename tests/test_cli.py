@@ -235,30 +235,42 @@ def test_malformed_document_is_exit_two(tmp_path, capsys, complex_doc, varifold_
     assert "polycal: error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "config",
-    [
-        [1, 2],
-        {"max_iter": "50"},
-        {"max_iter": 0},
-        {"max_iter": True},
-        {"check_every": 0},
-        {"stall_checks": 1.5},
-        {"seed": "7"},
-        {"primal_tol": 0.0},
-        {"obj_tol": float("nan")},
-        {"stall_tol": -1e-10},
-        {"relax": 2.0},
-        {"relax": 0},
-    ],
-)
-def test_malformed_solver_config_is_exit_two(tmp_path, capsys, config):
+def y_line_minimize_argv(tmp_path, config):
     K, V, gamma = generate_example("y_line")
     cpath = write(tmp_path, "complex.json", K.to_json(gamma))
     bpath = write(tmp_path, "boundary.json", chain_to_json(boundary(chainify(V))))
     spath = write(tmp_path, "solver.json", config)
-    assert main(["minimize", "--in", cpath, "--in", bpath, "--solver-config", spath]) == 2
+    return ["minimize", "--in", cpath, "--in", bpath, "--solver-config", spath]
+
+
+# fixed case ids, so that a case keeps its name when another is removed
+MALFORMED_SOLVER_CONFIGS = {
+    "config0": [1, 2],
+    "config1": {"max_iter": "50"},
+    "config2": {"max_iter": 0},
+    "config3": {"max_iter": True},
+    "config4": {"check_every": 0},
+    "config7": {"primal_tol": 0.0},
+    "config8": {"obj_tol": float("nan")},
+    "config10": {"relax": 2.0},
+    "config11": {"relax": 0},
+}
+
+
+@pytest.mark.parametrize(
+    "config", MALFORMED_SOLVER_CONFIGS.values(), ids=MALFORMED_SOLVER_CONFIGS.keys()
+)
+def test_malformed_solver_config_is_exit_two(tmp_path, capsys, config):
+    assert main(y_line_minimize_argv(tmp_path, config)) == 2
     assert "polycal: error" in capsys.readouterr().err
+
+
+def test_legacy_solver_config_keys_are_ignored(tmp_path, capsys):
+    # seed, stall_tol and stall_checks are no longer solver settings
+    config = {"seed": "7", "stall_checks": 1.5, "stall_tol": -1e-10}
+    code, result = run_cli(capsys, *y_line_minimize_argv(tmp_path, config))
+    assert (code, result["status"]) == (0, "converged")
+    assert set(config).isdisjoint(result["config"])
 
 
 def test_integer_coefficient_beyond_int32_is_exit_two(tmp_path, capsys):
