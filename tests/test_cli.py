@@ -265,9 +265,18 @@ def test_malformed_solver_config_is_exit_two(tmp_path, capsys, config):
     assert "polycal: error" in capsys.readouterr().err
 
 
-def test_legacy_solver_config_keys_are_ignored(tmp_path, capsys):
-    # seed, stall_tol and stall_checks are no longer solver settings
-    config = {"seed": "7", "stall_checks": 1.5, "stall_tol": -1e-10}
+# seed, stall_tol and stall_checks are no longer solver settings
+LEGACY_SOLVER_CONFIGS = {
+    "stall_checks": {"stall_checks": 1.5},
+    "seed": {"seed": "7"},
+    "stall_tol": {"stall_tol": -1e-10},
+}
+
+
+@pytest.mark.parametrize(
+    "config", LEGACY_SOLVER_CONFIGS.values(), ids=LEGACY_SOLVER_CONFIGS.keys()
+)
+def test_legacy_solver_config_keys_are_ignored(tmp_path, capsys, config):
     code, result = run_cli(capsys, *y_line_minimize_argv(tmp_path, config))
     assert (code, result["status"]) == (0, "converged")
     assert set(config).isdisjoint(result["config"])
