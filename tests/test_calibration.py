@@ -242,6 +242,26 @@ def test_l_shape_certificate_reports_corner():
     assert offending[0]["coefficient_norm"] == pytest.approx(math.sqrt(2.0), abs=1e-10)
 
 
+HEAVY_Y = {"directions": [[0.0, 1.0], [-math.sqrt(3) / 2, -0.5], [math.sqrt(3) / 2, -0.5]],
+           "weights": [1e8, 1e8, 1e8]}
+CERTIFIED_BUNDLES = [(name, {}) for name in ("plane_disk", "y_line", "y_times_r", "tetrahedral_cone")]
+CERTIFIED_BUNDLES += [
+    ("custom_net_cone", {"directions": [[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]],
+                         "weights": [1, 2, 1, 2]}),
+    ("custom_net_cone", HEAVY_Y),
+    ("custom_net_cone", {"directions": [[1, 0], [0, 1]]}),
+]
+
+
+@pytest.mark.parametrize("name, params", CERTIFIED_BUNDLES, ids=[
+    "plane_disk", "y_line", "y_times_r", "tetrahedral_cone", "custom_net_cone", "heavy_y", "l_shape"])
+def test_every_check_passes_exactly_within_its_tolerance(name, params):
+    # the solver check compares a gap, not its residual, with the tolerance
+    K, V, gamma = generate_example(name, **params)
+    for check in minimality_certificate(V, gamma).checks:
+        assert check.passed == (check.residual <= check.tol), check
+
+
 def test_certificate_json_round_trip_fields():
     K, V, gamma = generate_example("y_line")
     cert = minimality_certificate(V, gamma)

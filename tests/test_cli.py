@@ -223,6 +223,15 @@ SEGMENTS = [[0, 1], [0, 2]]
             {"vertices": TRIANGLE_VERTICES, "simplices": SEGMENTS},
             {"dimension": 1, "weights": [{"simplex": [0, 1], "c": [1.0]}]},
         ),
+        ({"vertices": [[0, 0], [1, 0]], "simplices": [[]]}, None),
+        (
+            {"vertices": TRIANGLE_VERTICES, "simplices": SEGMENTS},
+            {"dimension": 1, "weights": [{"simplex": [1, 2], "c": 1.0}]},
+        ),
+        (
+            {"vertices": TRIANGLE_VERTICES, "simplices": SEGMENTS},
+            {"dimension": 1, "weights": [{"simplex": 2, "c": 1.0}]},
+        ),
     ],
 )
 def test_malformed_document_is_exit_two(tmp_path, capsys, complex_doc, varifold_doc):
@@ -232,6 +241,24 @@ def test_malformed_document_is_exit_two(tmp_path, capsys, complex_doc, varifold_
     else:
         argv += ["--in", write(tmp_path, "varifold.json", varifold_doc)]
     assert main(argv) == 2
+    assert "polycal: error" in capsys.readouterr().err
+
+
+MALFORMED_CHAIN_TERMS = {
+    "wrong-size": {"simplex": [0, 1, 2], "coeff": 1.0},
+    "repeated-vertex": {"simplex": [1, 1], "coeff": 1.0},
+    "not-in-complex": {"simplex": [1, 2], "coeff": 1.0},
+}
+
+
+@pytest.mark.parametrize(
+    "term", MALFORMED_CHAIN_TERMS.values(), ids=MALFORMED_CHAIN_TERMS.keys()
+)
+def test_malformed_chain_term_is_exit_two(tmp_path, capsys, term):
+    cpath = write(tmp_path, "complex.json", {"vertices": TRIANGLE_VERTICES, "simplices": SEGMENTS})
+    chpath = write(tmp_path, "chain.json",
+                   {"dimension": 1, "group": {"kind": "real"}, "terms": [term]})
+    assert main(["flatnorm", "--in", cpath, "--in", chpath]) == 2
     assert "polycal: error" in capsys.readouterr().err
 
 

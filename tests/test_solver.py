@@ -146,6 +146,13 @@ def test_catalog_cross_check_stops_on_its_own_gap(name):
     assert within_gap(res.objective, res.lower_bound, res.config)
 
 
+def test_min_mass_reports_a_feasible_objective():
+    # A2 is calibrated, so M(A2) is the exact minimum of the restricted problem
+    A2, res = catalog_cross_check("tetrahedral_cone")
+    assert res.objective >= mass(A2) * (1 - 1e-12)
+    assert res.gap >= 0
+
+
 def test_tetrahedral_cone_cross_check_iterations():
     # the iteration count is deterministic; diagonal steps need at most 2,500
     _, res = catalog_cross_check("tetrahedral_cone")
