@@ -2,7 +2,6 @@
 
 __version__ = "0.1.0"
 
-from .exterior_algebra import Multivector, inner, wedge
 from .complexes import (
     BoundaryRegion,
     EmbeddedComplex,

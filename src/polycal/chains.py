@@ -20,20 +20,17 @@ from .complexes import (
     SubdivisionMap,
     json_list,
     pushforward_complex,
+    vertex_pairs,
+    vertex_rows,
 )
 from .groups import CoefficientGroup, SubgroupWithNorm, group_from_json, group_to_json
 
 
-def permutation_sign(seq) -> int:
-    """Parity of the permutation sorting ``seq``; seq entries must be distinct."""
-    seq = list(seq)
-    inversions = sum(
-        1
-        for i in range(len(seq))
-        for j in range(i + 1, len(seq))
-        if seq[i] > seq[j]
-    )
-    return -1 if inversions % 2 else 1
+def permutation_signs(rows) -> np.ndarray:
+    """Parity (+1 or -1) of the permutation sorting each row of distinct entries."""
+    rows = np.asarray(rows)
+    i, j = vertex_pairs(rows.shape[1])
+    return 1 - 2 * (np.count_nonzero(rows[:, i] > rows[:, j], axis=1) % 2)
 
 
 class Chain:
@@ -109,19 +106,13 @@ def make_chain(K: EmbeddedComplex, m: int, G: CoefficientGroup, terms) -> Chain:
     Tuples may come in any vertex order; odd permutations negate the
     coefficient.  Repeated simplices are summed in G and zeros dropped.
     """
-    ids, rows = [], []
-    for raw_tuple, raw_coeff in terms:
-        t = tuple(int(v) for v in raw_tuple)
-        if len(set(t)) != len(t):
-            raise ValueError(f"{t} repeats a vertex")
-        if len(t) != m + 1:
-            raise ValueError(f"{t} is not an {m}-simplex")
-        ids.append(K.simplex_id(tuple(sorted(t)))[1])
-        g = G.coerce(raw_coeff)
-        rows.append(g if permutation_sign(t) > 0 else G.neg(g))
-    rows = np.array(rows, dtype=G.dtype).reshape(-1, G.width)
+    terms = list(terms)
+    oriented = vertex_rows([t for t, _ in terms], m + 1)
+    ids = K.simplex_ids(np.sort(oriented, axis=1))
+    rows = np.array([G.coerce(c) for _, c in terms], dtype=G.dtype).reshape(-1, G.width)
     if not np.all(np.isfinite(rows)):
         raise ValueError("chain coefficients must be finite")
+    rows *= permutation_signs(oriented).astype(G.dtype)[:, None]
     return _canonical(K, m, G, ids, rows)
 
 
@@ -203,7 +194,7 @@ def pushforward_chain(
         A.complex, images, frozen=frozen, gamma=gamma, tol=tol
     )
     d = A.dimension
-    new_ids = [smap[(d, int(i))] for i in A.ids]
+    new_ids = [smap[(d, i)] for i in A.ids.tolist()]
     kept = np.array([j is not None for j in new_ids], dtype=bool)
     chain = Chain(image, d, A.group, [j for j in new_ids if j is not None], A.coeffs[kept])
     dropped = [(d, int(i)) for i in A.ids[~kept]]
@@ -242,24 +233,18 @@ def retag_chain(A: Chain, H: SubgroupWithNorm, budget: float = None) -> Chain:
 
 
 def chain_to_json(A: Chain) -> dict:
-    K = A.complex
+    simplices = A.complex.simplex_rows[A.dimension][A.ids].tolist()
     return {
         "dimension": A.dimension,
         "group": group_to_json(A.group),
         "terms": [
-            {
-                "simplex": list(K.simplex_tuple(A.dimension, sid)),
-                "coeff": A.group.coeff_to_json(g),
-            }
-            for sid, g in zip(A.ids, A.coeffs)
+            {"simplex": t, "coeff": A.group.coeff_to_json(g)}
+            for t, g in zip(simplices, A.coeffs)
         ],
     }
 
 
 def chain_from_json(K: EmbeddedComplex, doc: dict) -> Chain:
     G = group_from_json(doc["group"])
-    terms = [
-        (term["simplex"], G.coerce(term["coeff"]))
-        for term in json_list(doc, "terms", dict)
-    ]
+    terms = [(term["simplex"], term["coeff"]) for term in json_list(doc, "terms", dict)]
     return make_chain(K, int(doc["dimension"]), G, terms)

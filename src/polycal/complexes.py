@@ -1,10 +1,10 @@
 """Finite simplicial complexes embedded in R^N.
 
-Simplices are stored as strictly sorted vertex-index rows (int arrays, with
-tuples for lookup); the sorted row is the canonical combinatorial orientation
-and user orientations live on chain coefficients instead.  Construction closes
-the input under the face relation and assigns deterministic ids (lexicographic
-order per dimension).
+The d-simplices are the rows of one int array of strictly increasing vertex
+ids, in lexicographic order; a simplex's id is its row number, and
+``simplex_ids`` looks rows up by binary search.  The sorted row is the
+canonical combinatorial orientation and user orientations live on chain
+coefficients instead.  Construction closes the input under the face relation.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from scipy import sparse
 from . import config
 from .exterior_algebra import (
     DegenerateSimplexError,
-    Multivector,
     blade_of_points,
     rowdot,
     volume_of_points,
@@ -56,10 +55,15 @@ def _find(level, rows):
     return pos, found
 
 
+def vertex_pairs(k: int):
+    """Index arrays (i, j) of the pairs i < j among k vertices."""
+    pairs = list(itertools.combinations(range(k), 2))
+    return np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+
+
 def longest_edge(points) -> np.ndarray:
     """Longest edge length of each of the stacked (..., m+1, N) simplices."""
-    pairs = list(itertools.combinations(range(points.shape[-2]), 2))
-    i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    i, j = vertex_pairs(points.shape[-2])
     edges = points[..., i, :] - points[..., j, :]
     return np.sqrt(np.max(np.sum(edges * edges, axis=-1), axis=-1, initial=0.0))
 
@@ -93,7 +97,7 @@ class EmbeddedComplex:
         self.vertices = vertices
         self.ambient_dim = n
         # simplex_rows[d] is the (n_d, d+1) array of the d-simplices' vertex
-        # ids in lexicographic order, simplices[d] the same rows as tuples
+        # ids in lexicographic order
         nv = len(vertices)
         levels = [np.asarray(s if isinstance(s, np.ndarray) else list(s), dtype=np.intp)
                   .reshape(len(s), d + 1) for d, s in enumerate(simplices_by_dim)]
@@ -105,8 +109,6 @@ class EmbeddedComplex:
         total = sum(len(s) for s in self.simplex_rows)
         if total > config.MAX_SIMPLICES:
             raise ValueError(f"complex has {total} simplices, above desk-scale limit")
-        self.simplices = [list(map(tuple, rows.tolist())) for rows in self.simplex_rows]
-        self._ids = [{t: i for i, t in enumerate(level)} for level in self.simplices]
         # faces[d][i, j] = id of the (d-1)-face of simplex i with vertex j removed,
         # carrying incidence sign (-1)^j
         self.faces = [None]
@@ -115,13 +117,13 @@ class EmbeddedComplex:
             table, found = _find(self.simplex_rows[d - 1], facets)
             if not found.all():
                 k = int(np.argmin(found))
-                face, t = tuple(facets[k].tolist()), self.simplices[d][k // (d + 1)]
+                face, t = tuple(facets[k].tolist()), self.simplex_tuple(d, k // (d + 1))
                 raise ValueError(f"face {face} of {t} missing from complex")
             self.faces.append(table.reshape(-1, d + 1))
         for rows in self.simplex_rows + self.faces[1:]:
             rows.setflags(write=False)
-        self._volumes = [None] * len(self.simplices)
-        self._unit_blades = [None] * len(self.simplices)
+        self._volumes = [None] * len(self.simplex_rows)
+        self._unit_blades = [None] * len(self.simplex_rows)
         self._boundary_matrices = {}
 
     @property
@@ -134,20 +136,22 @@ class EmbeddedComplex:
         return 0
 
     def simplex_tuple(self, d: int, sid: int) -> tuple:
-        return self.simplices[d][sid]
+        return tuple(self.simplex_rows[d][sid].tolist())
 
-    def simplex_id(self, vertex_tuple) -> tuple:
-        """Resolve a sorted vertex tuple to (dim, id); raises if absent."""
-        t = tuple(vertex_tuple)
-        d = len(t) - 1
-        if not (0 <= d <= self.dim) or t not in self._ids[d]:
-            raise KeyError(f"{t} is not a simplex of the complex")
-        return d, self._ids[d][t]
+    def simplex_ids(self, rows) -> np.ndarray:
+        """Ids of the d-simplices given as (n, d+1) sorted vertex rows.
 
-    def has_simplex(self, vertex_tuple) -> bool:
-        t = tuple(vertex_tuple)
-        d = len(t) - 1
-        return 0 <= d <= self.dim and t in self._ids[d]
+        Raises KeyError naming the first row that is not a simplex.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        d = rows.shape[1] - 1
+        ids, found = np.zeros((2, len(rows)), dtype=np.intp)
+        if 0 <= d <= self.dim:
+            ids, found = _find(self.simplex_rows[d], rows)
+        if not found.all():
+            missing = tuple(rows[np.argmin(found)].tolist())
+            raise KeyError(f"{missing} is not a simplex of the complex")
+        return ids
 
     def volumes(self, d: int) -> np.ndarray:
         """H^d measures of all d-simplices (cached)."""
@@ -178,19 +182,20 @@ class EmbeddedComplex:
             self._unit_blades[d] = blades
         return self._unit_blades[d]
 
-    def unit_blade(self, d: int, sid: int) -> Multivector:
+    def unit_blade(self, d: int, sid: int) -> np.ndarray:
         """Unit simple d-vector of one canonically oriented simplex."""
-        return Multivector(self.ambient_dim, d, self.unit_blades(d)[sid])
+        return self.unit_blades(d)[sid]
+
+    def _maximal_ids(self, d: int) -> np.ndarray:
+        """Ids of the d-simplices with no coface: absent from faces[d+1]."""
+        free = np.ones(self.n_simplices(d), dtype=bool)
+        if d < self.dim:
+            free[self.faces[d + 1]] = False
+        return np.flatnonzero(free)
 
     def maximal_simplices(self):
-        """(d, id) pairs with no coface: ids absent from faces[d+1]."""
-        out = []
-        for d in range(self.dim + 1):
-            free = np.ones(self.n_simplices(d), dtype=bool)
-            if d < self.dim:
-                free[self.faces[d + 1]] = False
-            out += [(d, i) for i in np.flatnonzero(free).tolist()]
-        return out
+        """(d, id) pairs of the simplices with no coface."""
+        return [(d, i) for d in range(self.dim + 1) for i in self._maximal_ids(d).tolist()]
 
     def boundary_matrix(self, d: int):
         """Sparse incidence matrix (n_{d-1} x n_d) with entries (-1)^j."""
@@ -206,18 +211,13 @@ class EmbeddedComplex:
         return self._boundary_matrices[d]
 
     def to_json(self, gamma=None) -> dict:
-        doc = {
+        rows = self.simplex_rows
+        return {
             "ambient_dim": self.ambient_dim,
-            "vertices": [[float(x) for x in v] for v in self.vertices],
-            "simplices": [list(t) for d, i in self.maximal_simplices()
-                          for t in [self.simplices[d][i]]],
+            "vertices": self.vertices.tolist(),
+            "simplices": [t for d in range(self.dim + 1) for t in rows[d][self._maximal_ids(d)].tolist()],
+            "gamma_faces": [] if gamma is None else rows[gamma.face_dim][sorted(gamma.face_ids)].tolist(),
         }
-        doc["gamma_faces"] = (
-            [list(self.simplex_tuple(gamma.face_dim, i)) for i in sorted(gamma.face_ids)]
-            if gamma is not None
-            else []
-        )
-        return doc
 
     def content_hash(self) -> str:
         doc = self.to_json()
@@ -244,19 +244,32 @@ class BoundaryRegion:
 
     @classmethod
     def from_tuples(cls, complex, face_tuples):
-        ids = set()
-        dims = set()
-        for t in face_tuples:
-            d, i = complex.simplex_id(tuple(sorted(t)))
-            dims.add(d)
-            ids.add(i)
-        if len(dims) > 1:
+        face_tuples = list(face_tuples)
+        if not face_tuples:
+            return cls(complex, 0)
+        if len({len(t) for t in face_tuples}) > 1:
             raise ValueError("boundary region faces must share one dimension")
-        face_dim = dims.pop() if dims else 0
-        return cls(complex, face_dim, frozenset(ids))
+        rows = np.sort(vertex_rows(face_tuples, len(face_tuples[0])), axis=1)
+        return cls(complex, rows.shape[1] - 1, frozenset(complex.simplex_ids(rows).tolist()))
 
     def vertex_ids(self) -> frozenset:
         return frozenset(self.complex.simplex_rows[self.face_dim][list(self.face_ids)].ravel().tolist())
+
+
+def vertex_rows(tuples, k: int) -> np.ndarray:
+    """Sequences of k distinct vertex ids as the rows of an (n, k) int array, in their order."""
+    wrong = next((t for t in tuples if len(t) != k), None)
+    if wrong is not None:
+        raise ValueError(f"{tuple(wrong)} is not a {k - 1}-simplex")
+    rows = np.array(tuples, dtype=np.intp)
+    if rows.ndim > 2:
+        raise ValueError("vertex ids must be integers")
+    rows = rows.reshape(len(tuples), k)
+    i, j = vertex_pairs(k)
+    repeats = np.flatnonzero(np.any(rows[:, i] == rows[:, j], axis=1))
+    if repeats.size:
+        raise ValueError(f"simplex {tuple(rows[repeats[0]].tolist())} repeats a vertex")
+    return rows
 
 
 def build_complex(vertices, top_simplices, ambient_dim=None) -> EmbeddedComplex:
@@ -273,21 +286,21 @@ def build_complex(vertices, top_simplices, ambient_dim=None) -> EmbeddedComplex:
             f"vertices have dimension {vertices.shape[1]}, expected {ambient_dim}"
         )
     nv = vertices.shape[0]
-    canon = []
-    seen = set()
-    for t in top_simplices:
-        t = tuple(int(i) for i in t)
-        if len(set(t)) != len(t):
-            raise ValueError(f"simplex {t} repeats a vertex")
-        if any(i < 0 or i >= nv for i in t):
-            raise ValueError(f"simplex {t} has a vertex index out of range 0..{nv - 1}")
-        st = tuple(sorted(t))
-        if st in seen:
-            raise ValueError(f"duplicate simplex {st}")
-        seen.add(st)
-        canon.append(st)
-    max_dim = max((len(t) - 1 for t in canon), default=0)
-    return _closed_complex(vertices, [[t for t in canon if len(t) == d + 1] for d in range(max_dim + 1)])
+    top_simplices = list(top_simplices)
+    sizes = [len(t) for t in top_simplices]
+    if 0 in sizes:
+        raise ValueError("simplex () has no vertices")
+    tops = [np.sort(vertex_rows([t for t, k in zip(top_simplices, sizes) if k == d + 1], d + 1), axis=1)
+            for d in range(max(sizes, default=1))]
+    for rows in tops:
+        out = np.flatnonzero((rows[:, 0] < 0) | (rows[:, -1] >= nv))
+        if out.size:
+            raise ValueError(f"simplex {tuple(rows[out[0]].tolist())} has a vertex index out of range 0..{nv - 1}")
+        repeated = np.ones(len(rows), dtype=bool)
+        repeated[np.unique(_lexical(rows), return_index=True)[1]] = False
+        if repeated.any():
+            raise ValueError(f"duplicate simplex {tuple(rows[np.argmax(repeated)].tolist())}")
+    return _closed_complex(vertices, tops)
 
 
 def _closed_complex(vertices, tops) -> EmbeddedComplex:
@@ -488,10 +501,10 @@ def _barycentric(K: EmbeddedComplex):
 
 
 def _edge_midpoint(K: EmbeddedComplex, edge):
-    edge = tuple(sorted(int(i) for i in edge))
-    if len(edge) != 2 or not K.has_simplex(edge):
-        raise ValueError(f"{edge} is not an edge of the complex")
-    a, b = edge
+    edge = np.sort(np.asarray(edge, dtype=np.intp).ravel())
+    if edge.size != 2 or K.dim < 1 or not _find(K.simplex_rows[1], edge[None])[1][0]:
+        raise ValueError(f"{tuple(edge.tolist())} is not an edge of the complex")
+    a, b = edge.tolist()
     w = K.vertices.shape[0]
     midpoint = 0.5 * (K.vertices[a] + K.vertices[b])
     new_vertices = np.vstack([K.vertices, midpoint[None, :]])

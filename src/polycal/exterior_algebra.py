@@ -1,11 +1,12 @@
-"""Exterior algebra over R^N with dense coefficients.
+"""Exterior algebra over R^N as numpy rows.
 
-Grade-m multivectors are stored as dense vectors over the lexicographically
-ordered basis ``e_{i1} ^ ... ^ e_{im}`` with ``i1 < ... < im``, which is
-orthonormal for the Euclidean inner product used throughout.  The module also
-provides the batched point kernels behind simplex geometry: the (unnormalized)
-blade spanned by a simplex's edge vectors and its m-dimensional Hausdorff
-measure; ``EmbeddedComplex.unit_blades`` and ``volumes`` build on them.
+A grade-m multivector is a row of C(N, m) coefficients over the
+lexicographically ordered basis ``e_{i1} ^ ... ^ e_{im}`` with
+``i1 < ... < im``, which is orthonormal for the Euclidean inner product, so
+the inner product of rows is ``rowdot``.  The kernels act on stacks of rows:
+the row-wise wedge, the (unnormalized) blade spanned by a simplex's edge
+vectors and its m-dimensional Hausdorff measure; ``EmbeddedComplex.unit_blades``
+and ``volumes`` build on them.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-
-from . import config
 
 
 class DegenerateSimplexError(ValueError):
@@ -30,11 +29,6 @@ def basis_index_sets(ambient_dim: int, grade: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _basis_positions(ambient_dim: int, grade: int) -> dict:
-    return {s: i for i, s in enumerate(basis_index_sets(ambient_dim, grade))}
-
-
-@lru_cache(maxsize=None)
 def _wedge_table(ambient_dim: int, p: int, q: int):
     """Index/sign table so that wedge reduces to one scatter-add.
 
@@ -44,7 +38,7 @@ def _wedge_table(ambient_dim: int, p: int, q: int):
     """
     basis_p = basis_index_sets(ambient_dim, p)
     basis_q = basis_index_sets(ambient_dim, q)
-    out_pos = _basis_positions(ambient_dim, p + q)
+    out_pos = {s: i for i, s in enumerate(basis_index_sets(ambient_dim, p + q))}
     ia, ib, iout, signs = [], [], [], []
     for i, left in enumerate(basis_p):
         left_set = set(left)
@@ -64,124 +58,16 @@ def _wedge_table(ambient_dim: int, p: int, q: int):
     )
 
 
-class Multivector:
-    """Element of Lambda_m R^N with dense lexicographic coefficients."""
-
-    __slots__ = ("ambient_dim", "grade", "coeffs")
-
-    def __init__(self, ambient_dim: int, grade: int, coeffs):
-        if not 1 <= ambient_dim <= config.MAX_AMBIENT_DIM:
-            raise ValueError(
-                f"ambient dimension {ambient_dim} outside supported range "
-                f"1..{config.MAX_AMBIENT_DIM}"
-            )
-        if not 0 <= grade <= ambient_dim:
-            raise ValueError(f"grade {grade} outside 0..{ambient_dim}")
-        arr = np.array(coeffs, dtype=float).reshape(-1)
-        expected = math.comb(ambient_dim, grade)
-        if arr.size != expected:
-            raise ValueError(
-                f"coefficient vector has length {arr.size}, expected "
-                f"C({ambient_dim},{grade}) = {expected}"
-            )
-        arr.setflags(write=False)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "grade", grade)
-        object.__setattr__(self, "coeffs", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Multivector is immutable")
-
-    @classmethod
-    def zero(cls, ambient_dim: int, grade: int) -> "Multivector":
-        return cls(ambient_dim, grade, np.zeros(math.comb(ambient_dim, grade)))
-
-    @classmethod
-    def basis_blade(cls, ambient_dim: int, indices, coefficient: float = 1.0) -> "Multivector":
-        indices = tuple(indices)
-        grade = len(indices)
-        pos = _basis_positions(ambient_dim, grade).get(indices)
-        if pos is None:
-            raise ValueError(f"{indices} is not a strictly increasing index set in R^{ambient_dim}")
-        coeffs = np.zeros(math.comb(ambient_dim, grade))
-        coeffs[pos] = coefficient
-        return cls(ambient_dim, grade, coeffs)
-
-    @classmethod
-    def from_vector(cls, vector) -> "Multivector":
-        vector = np.asarray(vector, dtype=float).reshape(-1)
-        return cls(vector.size, 1, vector)
-
-    def _check_compatible(self, other: "Multivector", same_grade: bool):
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError(
-                f"ambient dimension mismatch: {self.ambient_dim} vs {other.ambient_dim}"
-            )
-        if same_grade and self.grade != other.grade:
-            raise ValueError(f"grade mismatch: {self.grade} vs {other.grade}")
-
-    def __add__(self, other: "Multivector") -> "Multivector":
-        self._check_compatible(other, same_grade=True)
-        return Multivector(self.ambient_dim, self.grade, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "Multivector") -> "Multivector":
-        self._check_compatible(other, same_grade=True)
-        return Multivector(self.ambient_dim, self.grade, self.coeffs - other.coeffs)
-
-    def __neg__(self) -> "Multivector":
-        return Multivector(self.ambient_dim, self.grade, -self.coeffs)
-
-    def __mul__(self, scalar) -> "Multivector":
-        return Multivector(self.ambient_dim, self.grade, self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-    def is_zero(self, tol=None) -> bool:
-        return self.norm() <= config.zero_tol(tol)
-
-    def allclose(self, other: "Multivector", tol: float = 1e-12) -> bool:
-        if self.ambient_dim != other.ambient_dim or self.grade != other.grade:
-            return False
-        return bool(np.allclose(self.coeffs, other.coeffs, rtol=0.0, atol=tol))
-
-    def __repr__(self):
-        basis = basis_index_sets(self.ambient_dim, self.grade)
-        terms = [
-            f"{c:+g}*e{''.join(str(i) for i in s)}" if s else f"{c:+g}"
-            for s, c in zip(basis, self.coeffs)
-            if c != 0.0
-        ]
-        body = " ".join(terms) if terms else "0"
-        return f"Multivector(N={self.ambient_dim}, grade={self.grade}, {body})"
-
-
-def wedge(a: Multivector, b: Multivector) -> Multivector:
-    """Exterior product; bilinear, associative, graded-anticommutative."""
-    a._check_compatible(b, same_grade=False)
-    out_grade = a.grade + b.grade
-    if out_grade > a.ambient_dim:
-        raise ValueError(
-            f"grade overflow: {a.grade} + {b.grade} > ambient dimension {a.ambient_dim}"
-        )
-    out = wedge_rows(a.coeffs[None], b.coeffs[None], a.ambient_dim, a.grade, b.grade)
-    return Multivector(a.ambient_dim, out_grade, out[0])
-
-
 def wedge_rows(a, b, ambient_dim: int, p: int, q: int) -> np.ndarray:
     """Row-wise wedge of stacked grade-p and grade-q coefficient rows."""
+    if a.shape[1] != math.comb(ambient_dim, p) or b.shape[1] != math.comb(ambient_dim, q):
+        raise ValueError(f"coefficient width mismatch for grades {p}, {q} in R^{ambient_dim}")
+    if p + q > ambient_dim:
+        raise ValueError(f"grade overflow: {p} + {q} > ambient dimension {ambient_dim}")
     ia, ib, iout, signs = _wedge_table(ambient_dim, p, q)
     out = np.zeros((len(a), math.comb(ambient_dim, p + q)))
     np.add.at(out.T, iout, (signs * a[:, ia] * b[:, ib]).T)
     return out
-
-
-def inner(a: Multivector, b: Multivector) -> float:
-    """Euclidean inner product for which the lexicographic basis is orthonormal."""
-    a._check_compatible(b, same_grade=True)
-    return float(np.dot(a.coeffs, b.coeffs))
 
 
 def rowdot(a, b) -> np.ndarray:

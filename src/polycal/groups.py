@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .exterior_algebra import Multivector
 
 
 def _int_row(raw, width: int) -> np.ndarray:
@@ -136,22 +135,20 @@ class MultivectorGroup(CoefficientGroup):
     """Lambda_m R^N with the Euclidean norm."""
 
     def __init__(self, ambient_dim: int, grade: int):
-        # constructing a zero validates the (N, m) range
-        zero = Multivector.zero(int(ambient_dim), int(grade))
-        self.ambient_dim, self.grade = zero.ambient_dim, zero.grade
-        self.width = zero.coeffs.size
+        self.ambient_dim, self.grade = int(ambient_dim), int(grade)
+        if not 1 <= self.ambient_dim <= config.MAX_AMBIENT_DIM:
+            raise ValueError(
+                f"ambient dimension {self.ambient_dim} outside supported range "
+                f"1..{config.MAX_AMBIENT_DIM}"
+            )
+        if not 0 <= self.grade <= self.ambient_dim:
+            raise ValueError(f"grade {self.grade} outside 0..{self.ambient_dim}")
+        self.width = math.comb(self.ambient_dim, self.grade)
 
     def norms(self, rows):
         return np.linalg.norm(rows, axis=1)
 
     def coerce(self, raw):
-        if isinstance(raw, Multivector):
-            if raw.ambient_dim != self.ambient_dim or raw.grade != self.grade:
-                raise ValueError(
-                    f"multivector (N={raw.ambient_dim}, grade={raw.grade}) does not "
-                    f"belong to Lambda_{self.grade} R^{self.ambient_dim}"
-                )
-            return raw.coeffs
         row = np.array(raw, dtype=float).reshape(-1)
         if row.size != self.width:
             raise ValueError(

@@ -1,14 +1,14 @@
 """Polyhedral varifolds and the conormal-balance stationarity test.
 
-A polyhedral varifold is a sparse map from unoriented m-simplices to strictly
-positive weights.  Stationarity away from a designated boundary region is
-checked at interior (m-1)-faces only: flat simplex interiors contribute no
-first variation and lower-dimensional faces carry no (m-1)-measure.  At each
-interior face the weighted outward conormals of the incident simplices must
-balance; the same quantity is recomputed through the boundary of the
-associated oriented chain and both routes are compared through the wedge
-identity, so a sign-convention bug in either path shows up as a cross-check
-residual.
+A polyhedral varifold is two arrays: the strictly increasing ids of its
+unoriented m-simplices and their strictly positive weights.  Stationarity away
+from a designated boundary region is checked at interior (m-1)-faces only:
+flat simplex interiors contribute no first variation and lower-dimensional
+faces carry no (m-1)-measure.  At each interior face the weighted outward
+conormals of the incident simplices must balance; the same quantity is
+recomputed through the boundary of the associated oriented chain and both
+routes are compared through the wedge identity, so a sign-convention bug in
+either path shows up as a cross-check residual.
 """
 
 from __future__ import annotations
@@ -30,58 +30,70 @@ from .complexes import (
     longest_edge,
     pushforward_complex,
     subdivide,
+    vertex_rows,
 )
 from .exterior_algebra import wedge_rows
 from .groups import MultivectorGroup
 
 
 class PolyhedralVarifold:
-    """Weighted unoriented m-simplices with weights > 0; immutable value."""
+    """Dimension-m varifold ``(ids, weights)``; treat instances as immutable values.
 
-    __slots__ = ("complex", "dimension", "weights")
+    ``ids`` are the strictly increasing ids of the weighted m-simplices and
+    ``weights`` their finite weights, all > 0.
+    """
 
-    def __init__(self, complex: EmbeddedComplex, dimension: int, weights=None):
+    __slots__ = ("complex", "dimension", "ids", "weights")
+
+    def __init__(self, complex: EmbeddedComplex, dimension: int, ids=(), weights=()):
         if dimension < 1:
             raise ValueError("varifold dimension must be >= 1")
-        weights = {int(i): float(c) for i, c in (weights or {}).items()}
+        ids = np.asarray(ids, dtype=np.intp).reshape(-1)
+        weights = np.asarray(weights, dtype=float).reshape(-1)
+        if weights.shape != ids.shape:
+            raise ValueError("varifold needs one weight per simplex id")
         n = complex.n_simplices(dimension)
-        for i, c in weights.items():
-            if not 0 <= i < n:
-                raise ValueError(f"simplex id {i} out of range for dimension {dimension}")
-            if c <= 0:
-                raise ValueError("stored weights must be strictly positive")
+        if ids.size and (ids[0] < 0 or ids[-1] >= n or np.any(np.diff(ids) <= 0)):
+            raise ValueError(f"simplex ids must increase strictly within 0..{n - 1}")
+        if not np.all((weights > 0) & (weights < math.inf)):
+            raise ValueError("stored weights must be finite and strictly positive")
         self.complex = complex
         self.dimension = dimension
+        self.ids = ids
         self.weights = weights
 
     def mass(self) -> float:
-        vols = self.complex.volumes(self.dimension)
-        return float(sum(c * vols[i] for i, c in self.weights.items()))
+        # summed one term at a time in id order, as the printed masses always were
+        return float(sum((self.complex.volumes(self.dimension)[self.ids] * self.weights).tolist()))
 
     def support_vertices(self) -> frozenset:
-        return frozenset(self.complex.simplex_rows[self.dimension][list(self.weights)].ravel().tolist())
+        return frozenset(self.complex.simplex_rows[self.dimension][self.ids].ravel().tolist())
 
     def __repr__(self):
-        return f"PolyhedralVarifold(dim={self.dimension}, simplices={len(self.weights)})"
+        return f"PolyhedralVarifold(dim={self.dimension}, simplices={self.ids.size})"
 
 
 def make_varifold(K: EmbeddedComplex, m: int, weighted_simplices) -> PolyhedralVarifold:
-    """Canonicalize (simplex, weight) pairs: sum duplicates, drop zeros."""
-    acc = {}
-    for raw, c in weighted_simplices:
-        c = float(c)
-        if not 0.0 <= c < math.inf:
-            raise ValueError("varifold weights must be finite and nonnegative")
-        if isinstance(raw, (int, np.integer)):
-            sid = int(raw)
-            if not 0 <= sid < K.n_simplices(m):
-                raise ValueError(f"simplex id {sid} out of range")
-        else:
-            d, sid = K.simplex_id(tuple(sorted(int(v) for v in raw)))
-            if d != m:
-                raise ValueError(f"{tuple(raw)} is not an {m}-simplex")
-        acc[sid] = acc.get(sid, 0.0) + c
-    return PolyhedralVarifold(K, m, {i: c for i, c in acc.items() if c > 0.0})
+    """Canonicalize (simplex, weight) pairs: sum duplicates, drop zeros.
+
+    A simplex is an id or a vertex tuple in any order.
+    """
+    pairs = list(weighted_simplices)
+    weights = np.array([c for _, c in pairs], dtype=float)
+    if not np.all((weights >= 0) & (weights < math.inf)):
+        raise ValueError("varifold weights must be finite and nonnegative")
+    given = np.array([isinstance(s, (int, np.integer)) for s, _ in pairs], dtype=bool)
+    sids = np.zeros(len(pairs), dtype=np.intp)
+    sids[given] = [s for (s, _), g in zip(pairs, given) if g]
+    out = np.flatnonzero(given & ((sids < 0) | (sids >= K.n_simplices(m))))
+    if out.size:
+        raise ValueError(f"simplex id {sids[out[0]]} out of range")
+    tuples = [s for (s, _), g in zip(pairs, given) if not g]
+    sids[~given] = K.simplex_ids(np.sort(vertex_rows(tuples, m + 1), axis=1))
+    sids, inverse = np.unique(sids, return_inverse=True)
+    summed = np.bincount(inverse, weights, minlength=sids.size)
+    keep = summed > 0
+    return PolyhedralVarifold(K, m, sids[keep], summed[keep])
 
 
 def conormal(K: EmbeddedComplex, sigma, tau, tol=None) -> np.ndarray:
@@ -212,14 +224,12 @@ def stationarity(
     interior = np.ones(nf, dtype=bool)
     interior[list(gamma.face_ids)] = False
     # (weighted simplex, slot) pairs on interior faces, stably sorted by face
-    sids = np.array(sorted(V.weights), dtype=np.intp)
-    face = K.faces[m][sids].ravel()
-    sid = np.repeat(sids, m + 1)
-    slot = np.tile(np.arange(m + 1), len(sids))
+    face = K.faces[m][V.ids].ravel()
+    sid, weight = np.repeat(V.ids, m + 1), np.repeat(V.weights, m + 1)
+    slot = np.tile(np.arange(m + 1), V.ids.size)
     keep = np.flatnonzero(interior[face])
     keep = keep[np.argsort(face[keep], kind="stable")]
-    face, sid, slot = face[keep], sid[keep], slot[keep]
-    weight = np.array([V.weights[i] for i in sid.tolist()])
+    face, sid, slot, weight = face[keep], sid[keep], slot[keep], weight[keep]
     nu = _conormals(K.vertices, K.simplex_rows[m][sid], slot, tol)
     residual = np.zeros((nf, K.ambient_dim))
     np.add.at(residual, face, weight[:, None] * nu)
@@ -263,16 +273,13 @@ def chainify(V: PolyhedralVarifold) -> Chain:
     negates both the simplex and its unit m-vector.
     """
     K, m = V.complex, V.dimension
-    ids = np.array(sorted(V.weights), dtype=np.intp)
-    weights = np.array([V.weights[i] for i in ids.tolist()])
-    coeffs = K.unit_blades(m)[ids] * weights[:, None]
-    return Chain(K, m, MultivectorGroup(K.ambient_dim, m), ids, coeffs)
+    coeffs = K.unit_blades(m)[V.ids] * V.weights[:, None]
+    return Chain(K, m, MultivectorGroup(K.ambient_dim, m), V.ids, coeffs)
 
 
 def frontier_faces(V: PolyhedralVarifold) -> frozenset:
     """(m-1)-faces incident to exactly one weighted simplex."""
-    K, m = V.complex, V.dimension
-    faces = K.faces[m][np.array(list(V.weights), dtype=np.intp)]
+    faces = V.complex.faces[V.dimension][V.ids]
     return frozenset(np.flatnonzero(np.bincount(faces.ravel()) == 1).tolist())
 
 
@@ -283,11 +290,9 @@ def boundary_region_for(V: PolyhedralVarifold) -> BoundaryRegion:
 def transport_varifold(V: PolyhedralVarifold, corr: SubdivisionMap) -> PolyhedralVarifold:
     if corr.src is not V.complex:
         raise ValueError("subdivision map was built for a different complex")
-    parents = np.zeros(V.complex.n_simplices(V.dimension))
-    parents[list(V.weights)] = list(V.weights.values())
-    children = abs(corr.matrices[V.dimension]) @ parents
-    weights = {cid: float(children[cid]) for cid in np.flatnonzero(children).tolist()}
-    return PolyhedralVarifold(corr.dst, V.dimension, weights)
+    children = abs(corr.matrices[V.dimension][:, V.ids]) @ V.weights
+    ids = np.flatnonzero(children)
+    return PolyhedralVarifold(corr.dst, V.dimension, ids, children[ids])
 
 
 @dataclass
@@ -307,10 +312,11 @@ def pushforward_varifold(
         V.complex, images, frozen=frozen, gamma=gamma, tol=tol
     )
     d = V.dimension
-    weights = {smap[(d, i)]: c for i, c in V.weights.items() if smap[(d, i)] is not None}
-    dropped = [(d, i) for i in V.weights if smap[(d, i)] is None]
+    new_ids = [smap[(d, i)] for i in V.ids.tolist()]
+    kept = np.array([j is not None for j in new_ids], dtype=bool)
+    dropped = [(d, i) for i in V.ids[~kept].tolist()]
     return VarifoldPushforward(
-        varifold=PolyhedralVarifold(image, V.dimension, weights),
+        varifold=PolyhedralVarifold(image, d, [j for j in new_ids if j is not None], V.weights[kept]),
         complex=image,
         simplex_map=smap,
         dropped=dropped,
@@ -319,13 +325,10 @@ def pushforward_varifold(
 
 
 def varifold_to_json(V: PolyhedralVarifold) -> dict:
-    K = V.complex
+    simplices = V.complex.simplex_rows[V.dimension][V.ids].tolist()
     return {
         "dimension": V.dimension,
-        "weights": [
-            {"simplex": list(K.simplex_tuple(V.dimension, i)), "c": c}
-            for i, c in sorted(V.weights.items())
-        ],
+        "weights": [{"simplex": t, "c": c} for t, c in zip(simplices, V.weights.tolist())],
     }
 
 

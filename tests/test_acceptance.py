@@ -22,7 +22,6 @@ from polycal.chains import (
     transport_chain,
 )
 from polycal.complexes import BoundaryRegion, build_complex, subdivide
-from polycal.exterior_algebra import Multivector
 from polycal.groups import (
     IntegerGroup,
     MultivectorGroup,
@@ -70,7 +69,7 @@ def random_lambda_chain(rng, K, m, max_terms=6, grade=None):
     n = K.n_simplices(m)
     picks = rng.choice(n, size=int(rng.integers(1, min(max_terms, n) + 1)), replace=False)
     terms = [
-        (K.simplex_tuple(m, int(i)), Multivector(K.ambient_dim, grade, rng.standard_normal(width)))
+        (K.simplex_tuple(m, int(i)), rng.standard_normal(width))
         for i in picks
     ]
     return make_chain(K, m, G, terms)
@@ -116,13 +115,7 @@ def test_criterion_2_stationarity_boundary_equivalence():
         variants = [V]
         for _ in range(50):
             scales = rng.uniform(0.4, 1.8, size=len(V.weights))
-            variants.append(
-                PolyhedralVarifold(
-                    K,
-                    V.dimension,
-                    {sid: c * s for (sid, c), s in zip(V.weights.items(), scales)},
-                )
-            )
+            variants.append(PolyhedralVarifold(K, V.dimension, V.ids, V.weights * scales))
         for W in variants:
             cases += 1
             stat = stationarity(W, gamma, tol=1e-9).is_stationary
@@ -225,7 +218,7 @@ def test_criterion_6_phi_flat_mass_chain():
     # the triangle reproduces F = 0.5 against M = 2 + sqrt(2)
     K = build_complex([[0, 0], [1, 0], [0, 1]], [(0, 1, 2)])
     G = MultivectorGroup(2, 2)
-    A = boundary(make_chain(K, 2, G, [((0, 1, 2), Multivector(2, 2, [1.0]))]))
+    A = boundary(make_chain(K, 2, G, [((0, 1, 2), [1.0])]))
     res = flat_norm_solve(A)
     assert abs(res.value - 0.5) <= 1e-6
     assert abs(mass(A) - (2.0 + math.sqrt(2.0))) <= 1e-12

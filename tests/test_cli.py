@@ -96,12 +96,11 @@ def test_minimize_reproduces_cone_mass(tmp_path, capsys):
 
 def test_flatnorm_triangle(tmp_path, capsys):
     from polycal.chains import make_chain
-    from polycal.exterior_algebra import Multivector
     from polycal.groups import MultivectorGroup
 
     K = build_complex([[0, 0], [1, 0], [0, 1]], [(0, 1, 2)])
     G = MultivectorGroup(2, 2)
-    A = boundary(make_chain(K, 2, G, [((0, 1, 2), Multivector(2, 2, [1.0]))]))
+    A = boundary(make_chain(K, 2, G, [((0, 1, 2), [1.0])]))
     cpath = write(tmp_path, "complex.json", K.to_json())
     apath = write(tmp_path, "chain.json", chain_to_json(A))
     code, report = run_cli(capsys, "flatnorm", "--in", cpath, "--in", apath)

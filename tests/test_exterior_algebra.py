@@ -7,24 +7,41 @@ import pytest
 from polycal.complexes import EmbeddedComplex
 from polycal.exterior_algebra import (
     DegenerateSimplexError,
-    Multivector,
     basis_index_sets,
     blade_of_points,
-    inner,
+    rowdot,
     volume_of_points,
-    wedge,
+    wedge_rows,
 )
+from polycal.groups import MultivectorGroup
+
+# A grade-p multivector of R^n is a row of C(n, p) coefficients; the tests
+# carry (n, p) alongside.
+
+
+def basis(n, indices, coefficient=1.0):
+    """The row of coefficient * e_indices in Lambda_len(indices) R^n."""
+    row = np.zeros(math.comb(n, len(indices)))
+    row[basis_index_sets(n, len(indices)).index(tuple(indices))] = coefficient
+    return row
+
+
+def wedge(a, b, n, p, q):
+    return wedge_rows(a[None], b[None], n, p, q)[0]
+
+
+def allclose(a, b, tol=1e-12):
+    return a.shape == b.shape and np.allclose(a, b, rtol=0.0, atol=tol)
 
 
 # ---------------------------------------------------------------------------
 # independent oracles
 
-def oracle_wedge(a: Multivector, b: Multivector) -> Multivector:
+def oracle_wedge(a, b, n, p, q):
     """Brute-force wedge: expand every basis pair, sort indices, count swaps."""
-    n = a.ambient_dim
-    out = Multivector.zero(n, a.grade + b.grade)
-    for sa, ca in zip(basis_index_sets(n, a.grade), a.coeffs):
-        for sb, cb in zip(basis_index_sets(n, b.grade), b.coeffs):
+    out = np.zeros(math.comb(n, p + q))
+    for sa, ca in zip(basis_index_sets(n, p), a):
+        for sb, cb in zip(basis_index_sets(n, q), b):
             if ca == 0.0 or cb == 0.0:
                 continue
             merged = list(sa + sb)
@@ -38,7 +55,7 @@ def oracle_wedge(a: Multivector, b: Multivector) -> Multivector:
                         merged[j], merged[j + 1] = merged[j + 1], merged[j]
                         swaps += 1
             sign = -1.0 if swaps % 2 else 1.0
-            out = out + Multivector.basis_blade(n, tuple(merged), sign * ca * cb)
+            out = out + basis(n, merged, sign * ca * cb)
     return out
 
 
@@ -64,30 +81,34 @@ def random_rotation(rng, n):
 
 
 def random_multivector(rng, n, grade):
-    return Multivector(n, grade, rng.standard_normal(math.comb(n, grade)))
+    return rng.standard_normal(math.comb(n, grade))
 
 
-E1 = Multivector.basis_blade(3, (0,))
-E2 = Multivector.basis_blade(3, (1,))
-E12 = Multivector.basis_blade(3, (0, 1))
+def inner(a, b):
+    return float(rowdot(a[None], b[None])[0])
+
+
+E1 = basis(3, (0,))
+E2 = basis(3, (1,))
+E12 = basis(3, (0, 1))
 
 
 # ---------------------------------------------------------------------------
 # wedge
 
 def test_wedge_of_basis_vectors_is_basis_bivector():
-    assert wedge(E1, E2).allclose(E12)
+    assert allclose(wedge(E1, E2, 3, 1, 1), E12)
 
 
 def test_wedge_with_itself_vanishes():
-    assert wedge(E1, E1).is_zero(tol=0.0)
+    assert np.linalg.norm(wedge(E1, E1, 3, 1, 1)) <= 0.0
 
 
 def test_wedge_bilinear_expansion_matches_oracle():
     v = E1 + E2
-    expected = oracle_wedge(v, E2)
-    assert expected.allclose(E12)  # (e1+e2)^e2 = e12
-    assert wedge(v, E2).allclose(expected)
+    expected = oracle_wedge(v, E2, 3, 1, 1)
+    assert allclose(expected, E12)  # (e1+e2)^e2 = e12
+    assert allclose(wedge(v, E2, 3, 1, 1), expected)
 
 
 def test_wedge_matches_oracle_on_random_pairs():
@@ -95,7 +116,7 @@ def test_wedge_matches_oracle_on_random_pairs():
     for n, p, q in [(3, 1, 1), (4, 1, 2), (4, 2, 2), (5, 2, 1), (5, 1, 3)]:
         a = random_multivector(rng, n, p)
         b = random_multivector(rng, n, q)
-        assert wedge(a, b).allclose(oracle_wedge(a, b), tol=1e-12)
+        assert allclose(wedge(a, b, n, p, q), oracle_wedge(a, b, n, p, q), tol=1e-12)
 
 
 def test_wedge_graded_anticommutativity():
@@ -103,9 +124,9 @@ def test_wedge_graded_anticommutativity():
     for n, p, q in [(4, 1, 1), (4, 1, 2), (5, 2, 2), (5, 2, 3)]:
         a = random_multivector(rng, n, p)
         b = random_multivector(rng, n, q)
-        lhs = wedge(a, b)
-        rhs = (-1.0) ** (p * q) * wedge(b, a)
-        assert lhs.allclose(rhs, tol=1e-12)
+        lhs = wedge(a, b, n, p, q)
+        rhs = (-1.0) ** (p * q) * wedge(b, a, n, q, p)
+        assert allclose(lhs, rhs, tol=1e-12)
 
 
 def test_wedge_associativity():
@@ -114,22 +135,23 @@ def test_wedge_associativity():
         a = random_multivector(rng, 5, 1)
         b = random_multivector(rng, 5, 1)
         c = random_multivector(rng, 5, 2)
-        assert wedge(wedge(a, b), c).allclose(wedge(a, wedge(b, c)), tol=1e-10)
+        lhs = wedge(wedge(a, b, 5, 1, 1), c, 5, 2, 2)
+        assert allclose(lhs, wedge(a, wedge(b, c, 5, 1, 2), 5, 1, 3), tol=1e-10)
 
 
 def test_wedge_dimension_and_grade_errors():
     with pytest.raises(ValueError, match="mismatch"):
-        wedge(E1, Multivector.basis_blade(4, (0,)))
-    tri = Multivector.basis_blade(3, (0, 1, 2))
+        wedge(E1, basis(4, (0,)), 3, 1, 1)
+    tri = basis(3, (0, 1, 2))
     with pytest.raises(ValueError, match="overflow"):
-        wedge(tri, E1)
+        wedge(tri, E1, 3, 3, 1)
 
 
 # ---------------------------------------------------------------------------
-# inner product
+# inner product of rows
 
 def test_inner_orthonormal_basis():
-    e13 = Multivector.basis_blade(3, (0, 2))
+    e13 = basis(3, (0, 2))
     assert inner(E12, E12) == pytest.approx(1.0)
     assert inner(E12, e13) == pytest.approx(0.0)
     assert inner(2 * E12 + e13, e13) == pytest.approx(1.0)
@@ -139,12 +161,7 @@ def test_inner_is_squared_norm_on_diagonal():
     rng = np.random.default_rng(3)
     for _ in range(10):
         a = random_multivector(rng, 4, 2)
-        assert inner(a, a) == pytest.approx(a.norm() ** 2, rel=1e-14)
-
-
-def test_inner_grade_mismatch_rejected():
-    with pytest.raises(ValueError, match="grade"):
-        inner(E1, E12)
+        assert inner(a, a) == pytest.approx(np.linalg.norm(a) ** 2, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -159,19 +176,19 @@ def unit_blade_of(points):
 
 
 def test_unit_vector_of_axis_segment():
-    assert unit_blade_of([[0.0, 0.0], [1.0, 0.0]]).allclose(Multivector.basis_blade(2, (0,)))
+    assert allclose(unit_blade_of([[0.0, 0.0], [1.0, 0.0]]), basis(2, (0,)))
 
 
 def test_unit_vector_of_axis_triangle_and_reversal():
-    assert unit_blade_of([[0, 0, 0], [1, 0, 0], [0, 1, 0]]).allclose(E12)
-    assert unit_blade_of([[0, 0, 0], [0, 1, 0], [1, 0, 0]]).allclose(-E12)
+    assert allclose(unit_blade_of([[0, 0, 0], [1, 0, 0], [0, 1, 0]]), E12)
+    assert allclose(unit_blade_of([[0, 0, 0], [0, 1, 0], [1, 0, 0]]), -E12)
 
 
 def test_unit_vector_has_unit_norm():
     rng = np.random.default_rng(5)
     for m, n in [(1, 2), (1, 4), (2, 3), (3, 5)]:
         pts = rng.standard_normal((m + 1, n))
-        assert unit_blade_of(pts).norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(unit_blade_of(pts)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_unit_vector_permutation_parity():
@@ -187,7 +204,7 @@ def test_unit_vector_permutation_parity():
         )
         sign = -1.0 if swaps % 2 else 1.0
         permuted = unit_blade_of(pts[list(perm)])
-        assert permuted.allclose(sign * base, tol=1e-12)
+        assert allclose(permuted, sign * base, tol=1e-12)
 
 
 def test_unit_vector_rejects_degenerate_simplex():
@@ -254,17 +271,17 @@ def test_volume_of_point_is_one():
 
 def test_coefficient_length_is_enforced():
     with pytest.raises(ValueError, match="length"):
-        Multivector(3, 2, [1.0, 2.0])
+        MultivectorGroup(3, 2).coerce([1.0, 2.0])
 
 
 def test_norm_positive_definite():
     rng = np.random.default_rng(31)
-    z = Multivector.zero(4, 2)
-    assert z.norm() == 0.0
+    G = MultivectorGroup(4, 2)
+    assert G.norm(G.zero()) == 0.0
     for _ in range(10):
         a = random_multivector(rng, 4, 2)
-        if not np.allclose(a.coeffs, 0):
-            assert a.norm() > 0.0
+        if not np.allclose(a, 0):
+            assert G.norm(a) > 0.0
 
 
 def test_blade_of_points_matches_iterated_wedge():
@@ -274,10 +291,10 @@ def test_blade_of_points_matches_iterated_wedge():
         pts = rng.standard_normal((6, m + 1, n))
         batched = blade_of_points(pts)
         for k in range(len(pts)):
-            ref = Multivector.from_vector(pts[k, 1] - pts[k, 0])
+            ref = pts[k, 1] - pts[k, 0]
             for j in range(2, m + 1):
-                ref = wedge(ref, Multivector.from_vector(pts[k, j] - pts[k, 0]))
-            assert np.allclose(batched[k], ref.coeffs, rtol=1e-12, atol=1e-12)
+                ref = wedge(ref, pts[k, j] - pts[k, 0], n, j - 1, 1)
+            assert np.allclose(batched[k], ref, rtol=1e-12, atol=1e-12)
             assert volume_of_points(pts)[k] == pytest.approx(volume_of_points(pts[k]), rel=1e-12)
 
 
@@ -290,8 +307,7 @@ def test_blade_of_points_norm_is_factorial_times_volume():
     )
 
 
-def test_multivector_is_immutable():
-    with pytest.raises(AttributeError):
-        E1.grade = 2
+def test_unit_blade_rows_are_read_only():
+    blade = unit_blade_of([[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
-        E1.coeffs[0] = 5.0
+        blade[0] = 5.0

@@ -7,7 +7,6 @@ from scipy.optimize import linprog
 
 from polycal.chains import Chain, boundary, make_chain, mass, transport_chain
 from polycal.complexes import build_complex, subdivide
-from polycal.exterior_algebra import Multivector
 from polycal.groups import IntegerGroup, MultivectorGroup, RealGroup
 from polycal.solver import (
     FlatNormResult,
@@ -38,7 +37,7 @@ def catalog_cross_check(name):
 def triangle_with_filling():
     K = build_complex([[0, 0], [1, 0], [0, 1]], [(0, 1, 2)])
     G = MultivectorGroup(2, 2)
-    Q = make_chain(K, 2, G, [((0, 1, 2), Multivector(2, 2, [1.0]))])
+    Q = make_chain(K, 2, G, [((0, 1, 2), [1.0])])
     return K, G, boundary(Q)
 
 
@@ -65,7 +64,7 @@ def test_y_cone_beats_spanning_trees():
     K, V, gamma = generate_example("y_line")
     verts = K.vertices
     extra = [(1, 2), (1, 3), (2, 3)]
-    K2 = build_complex(verts, [t for t in K.simplices[1]] + extra)
+    K2 = build_complex(verts, K.simplex_rows[1].tolist() + extra)
     A0 = make_chain(
         K2,
         1,
@@ -128,7 +127,7 @@ def test_calibration_lower_bound_certifies_optimum():
 
 def test_solver_is_deterministic():
     K, G, A = triangle_with_filling()
-    b = boundary(make_chain(K, 2, G, [((0, 1, 2), Multivector(2, 2, [2.0]))]))
+    b = boundary(make_chain(K, 2, G, [((0, 1, 2), [2.0])]))
     cfg = SolverConfig()
     r1 = min_mass_fixed_boundary(MinMassProblem(K, 2, b, G, cfg))
     r2 = min_mass_fixed_boundary(MinMassProblem(K, 2, b, G, cfg))
@@ -214,7 +213,7 @@ def test_flat_norm_never_exceeds_mass():
     G = MultivectorGroup(2, 1)
     for _ in range(10):
         terms = [
-            (K.simplex_tuple(1, i), Multivector(2, 1, rng.standard_normal(2)))
+            (K.simplex_tuple(1, i), rng.standard_normal(2))
             for i in range(K.n_simplices(1))
         ]
         A = make_chain(K, 1, G, terms)
