@@ -302,7 +302,7 @@ def minimality_certificate(
         CheckResult(
             name="stationarity",
             passed=report.is_stationary,
-            residual=report.max_residual,
+            residual=report.max_relative_residual,
             tol=tol,
         )
     ]

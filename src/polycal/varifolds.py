@@ -168,8 +168,10 @@ class StationarityReport:
     max_residual: float = 0.0
     is_stationary: bool = True
     max_crosscheck_residual: float = 0.0
-    # the associated chain and its boundary, reused by the certificate; not
-    # part of the JSON report
+    # the largest residual norm over its incident weights (a free edge's is
+    # 1), the associated chain and its boundary: reused by the certificate,
+    # not part of the JSON report
+    max_relative_residual: float = field(default=0.0, repr=False)
     chain: Chain | None = field(default=None, repr=False)
     chain_boundary: Chain | None = field(default=None, repr=False)
 
@@ -242,7 +244,9 @@ def stationarity(
         predicted = wedge_rows(residual[hit], K.unit_blades(m - 1)[hit], K.ambient_dim, 1, m - 1)
         crosscheck[hit] = np.linalg.norm(brows[hit] - predicted, axis=1)
     free_edge = count == 1
-    passed = (residual_norm <= tol * np.bincount(face, weight, minlength=nf)) & ~free_edge
+    incident = np.bincount(face, weight, minlength=nf)
+    passed = (residual_norm <= tol * incident) & ~free_edge
+    relative = np.divide(residual_norm, incident, out=np.zeros(nf), where=incident > 0)
     fids = np.flatnonzero(interior)
     bounds = np.searchsorted(face, np.stack([fids, fids + 1], axis=1)).tolist()
 
@@ -261,6 +265,7 @@ def stationarity(
         max_residual=float(residual_norm[fids].max(initial=0.0)),
         is_stationary=bool(passed[fids].all()),
         max_crosscheck_residual=float(crosscheck[fids].max(initial=0.0)),
+        max_relative_residual=float(relative[fids].max(initial=0.0)),
         chain=A,
         chain_boundary=bchain,
     )

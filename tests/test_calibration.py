@@ -235,7 +235,8 @@ def test_l_shape_certificate_reports_corner():
     cert = minimality_certificate(V, gamma)
     assert cert.conclusion == "boundary-not-in-gamma"
     assert not cert.check("stationarity").passed
-    assert cert.check("stationarity").residual == pytest.approx(math.sqrt(2.0), abs=1e-10)
+    # the corner's residual norm sqrt(2) over its incident weights 1 + 1
+    assert cert.check("stationarity").residual == pytest.approx(math.sqrt(2.0) / 2, abs=1e-10)
     offending = cert.provenance["offending_boundary"]
     assert offending and offending[0]["face"] == [0]
     assert offending[0]["coefficient_norm"] == pytest.approx(math.sqrt(2.0), abs=1e-10)

@@ -5,9 +5,12 @@ from ``demo`` plus a few hand-written documents) and compares the exit code
 and payload with ``tests/golden/<case>.json``: strings, booleans and
 integers exactly, floats to 1e-12 (relative, absolute near 0).  The goldens
 pin behaviour across refactors; regenerate them only for an intended output
-change, with
+change, naming the cases that change:
 
-    PYTHONPATH=src python tests/test_golden.py --write
+    PYTHONPATH=src python tests/test_golden.py --write certify-l_shape-r0 ...
+
+This rewrites only the named goldens and prints each file whose content
+changed; a bare ``--write`` regenerates every golden.
 """
 
 from __future__ import annotations
@@ -162,18 +165,25 @@ def test_mismatch_detects_differences():
     assert _mismatch({"a": 1}, {"b": 1}) is not None
 
 
-def _write_goldens():
+def _write_goldens(names):
+    """Regenerate the named goldens, or all of them; print the files that changed."""
     import tempfile
 
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown golden case(s): {', '.join(unknown)}")
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     with tempfile.TemporaryDirectory() as work_dir:
         paths = _build_inputs(work_dir)
-        for name in sorted(CASES):
+        for name in sorted(names or CASES):
             result = run_case(name, paths, work_dir)
-            with open(os.path.join(GOLDEN_DIR, f"{name}.json"), "w") as handle:
-                json.dump(result, handle, sort_keys=True, separators=(",", ":"))
-                handle.write("\n")
+            text = json.dumps(result, sort_keys=True, separators=(",", ":")) + "\n"
+            path = os.path.join(GOLDEN_DIR, f"{name}.json")
+            if not os.path.exists(path) or open(path).read() != text:
+                with open(path, "w") as handle:
+                    handle.write(text)
+                print(f"changed {os.path.relpath(path)}")
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
-    _write_goldens()
+if __name__ == "__main__" and sys.argv[1:2] == ["--write"]:
+    _write_goldens(sys.argv[2:])
