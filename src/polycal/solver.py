@@ -142,6 +142,12 @@ def _dual_bound(MT, weights, target, Y) -> float:
     return max(0.0, value) / scale if scale > 0 else 0.0
 
 
+def _least_squares(M, rhs):
+    """Least-squares solution X of M X = rhs, one lsmr solve per column."""
+    cap = 8 * sum(M.shape)
+    return np.column_stack([lsmr(M, col, atol=1e-13, btol=1e-13, maxiter=cap)[0] for col in rhs.T])
+
+
 def _solve_blockwise(M, weights, target, cfg: SolverConfig, warm=None):
     """Relaxed primal-dual iteration for min sum w_j ||x_j|| s.t. M x = c.
 
@@ -189,10 +195,7 @@ def min_mass_fixed_boundary(problem: MinMassProblem) -> SolveResult:
     target[problem.boundary.ids] = problem.boundary.coeffs
     weights = K.volumes(m)
     # least-squares feasibility probe doubles as the warm start
-    warm = np.zeros((M.shape[1], size))
-    for col in range(size):
-        sol = lsmr(M, target[:, col], atol=1e-13, btol=1e-13, maxiter=8 * sum(M.shape))
-        warm[:, col] = sol[0]
+    warm = _least_squares(M, target)
     lsq_residual = float(np.linalg.norm(M @ warm - target))
     if lsq_residual > max(100 * cfg.primal_tol, 1e-6) * max(1.0, float(np.linalg.norm(target))):
         zero = Chain(K, m, group)
@@ -205,6 +208,8 @@ def min_mass_fixed_boundary(problem: MinMassProblem) -> SolveResult:
             config=cfg,
         )
     X, info = _solve_blockwise(M, weights, target, cfg, warm=warm)
+    # the iterate is feasible only within primal_tol: report its projection onto M X = c
+    X += _least_squares(M, target - M @ X)
     chain = _canonical(K, m, group, np.arange(X.shape[0]), X)
     objective = mass(chain)
     dC = boundary(chain)
