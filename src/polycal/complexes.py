@@ -145,7 +145,7 @@ class EmbeddedComplex:
         """
         rows = np.asarray(rows, dtype=np.intp)
         d = rows.shape[1] - 1
-        ids, found = np.zeros((2, len(rows)), dtype=np.intp)
+        ids, found = np.zeros(len(rows), dtype=np.intp), np.zeros(len(rows), dtype=bool)
         if 0 <= d <= self.dim:
             ids, found = _find(self.simplex_rows[d], rows)
         if not found.all():

@@ -63,7 +63,7 @@ class PolyhedralVarifold:
         self.weights = weights
 
     def mass(self) -> float:
-        # summed one term at a time in id order, as the printed masses always were
+        # a Python sum in id order, which keeps the printed mass to the last digit
         return float(sum((self.complex.volumes(self.dimension)[self.ids] * self.weights).tolist()))
 
     def support_vertices(self) -> frozenset:
