@@ -261,7 +261,10 @@ def vertex_rows(tuples, k: int) -> np.ndarray:
     wrong = next((t for t in tuples if len(t) != k), None)
     if wrong is not None:
         raise ValueError(f"{tuple(wrong)} is not a {k - 1}-simplex")
-    rows = np.array(tuples, dtype=np.intp)
+    try:
+        rows = np.array(tuples, dtype=np.intp)
+    except OverflowError:
+        raise ValueError("vertex ids must be integers below 2**63 in size") from None
     if rows.ndim > 2:
         raise ValueError("vertex ids must be integers")
     rows = rows.reshape(len(tuples), k)

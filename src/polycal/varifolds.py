@@ -84,10 +84,11 @@ def make_varifold(K: EmbeddedComplex, m: int, weighted_simplices) -> PolyhedralV
         raise ValueError("varifold weights must be finite and nonnegative")
     given = np.array([isinstance(s, (int, np.integer)) for s, _ in pairs], dtype=bool)
     sids = np.zeros(len(pairs), dtype=np.intp)
-    sids[given] = [s for (s, _), g in zip(pairs, given) if g]
-    out = np.flatnonzero(given & ((sids < 0) | (sids >= K.n_simplices(m))))
-    if out.size:
-        raise ValueError(f"simplex id {sids[out[0]]} out of range")
+    ids = [s for (s, _), g in zip(pairs, given) if g]
+    out = next((s for s in ids if not 0 <= s < K.n_simplices(m)), None)
+    if out is not None:
+        raise ValueError(f"simplex id {out} out of range")
+    sids[given] = ids
     tuples = [s for (s, _), g in zip(pairs, given) if not g]
     sids[~given] = K.simplex_ids(np.sort(vertex_rows(tuples, m + 1), axis=1))
     sids, inverse = np.unique(sids, return_inverse=True)

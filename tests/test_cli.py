@@ -231,6 +231,11 @@ SEGMENTS = [[0, 1], [0, 2]]
             {"vertices": TRIANGLE_VERTICES, "simplices": SEGMENTS},
             {"dimension": 1, "weights": [{"simplex": 2, "c": 1.0}]},
         ),
+        ({"vertices": TRIANGLE_VERTICES, "simplices": [[0, 10**30]]}, None),
+        (
+            {"vertices": TRIANGLE_VERTICES, "simplices": SEGMENTS},
+            {"dimension": 1, "weights": [{"simplex": 10**30, "c": 1.0}]},
+        ),
     ],
 )
 def test_malformed_document_is_exit_two(tmp_path, capsys, complex_doc, varifold_doc):
