@@ -107,8 +107,8 @@ def make_chain(K: EmbeddedComplex, m: int, G: CoefficientGroup, terms) -> Chain:
     coefficient.  Repeated simplices are summed in G and zeros dropped.
     """
     terms = list(terms)
-    oriented = vertex_rows([t for t, _ in terms], m + 1)
-    ids = K.simplex_ids(np.sort(oriented, axis=1))
+    oriented, simplices = vertex_rows([t for t, _ in terms], m + 1)
+    ids = K.simplex_ids(simplices)
     rows = np.array([G.coerce(c) for _, c in terms], dtype=G.dtype).reshape(-1, G.width)
     if not np.all(np.isfinite(rows)):
         raise ValueError("chain coefficients must be finite")

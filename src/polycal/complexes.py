@@ -249,15 +249,15 @@ class BoundaryRegion:
             return cls(complex, 0)
         if len({len(t) for t in face_tuples}) > 1:
             raise ValueError("boundary region faces must share one dimension")
-        rows = np.sort(vertex_rows(face_tuples, len(face_tuples[0])), axis=1)
+        _, rows = vertex_rows(face_tuples, len(face_tuples[0]))
         return cls(complex, rows.shape[1] - 1, frozenset(complex.simplex_ids(rows).tolist()))
 
     def vertex_ids(self) -> frozenset:
         return frozenset(self.complex.simplex_rows[self.face_dim][list(self.face_ids)].ravel().tolist())
 
 
-def vertex_rows(tuples, k: int) -> np.ndarray:
-    """Sequences of k distinct vertex ids as the rows of an (n, k) int array, in their order."""
+def vertex_rows(tuples, k: int):
+    """Sequences of k distinct vertex ids as (n, k) int rows: as given, and sorted."""
     wrong = next((t for t in tuples if len(t) != k), None)
     if wrong is not None:
         raise ValueError(f"{tuple(wrong)} is not a {k - 1}-simplex")
@@ -268,11 +268,11 @@ def vertex_rows(tuples, k: int) -> np.ndarray:
     if rows.ndim > 2:
         raise ValueError("vertex ids must be integers")
     rows = rows.reshape(len(tuples), k)
-    i, j = vertex_pairs(k)
-    repeats = np.flatnonzero(np.any(rows[:, i] == rows[:, j], axis=1))
+    simplices = np.sort(rows, axis=1)
+    repeats = np.flatnonzero((simplices[:, 1:] == simplices[:, :-1]).any(axis=1))
     if repeats.size:
         raise ValueError(f"simplex {tuple(rows[repeats[0]].tolist())} repeats a vertex")
-    return rows
+    return rows, simplices
 
 
 def build_complex(vertices, top_simplices, ambient_dim=None) -> EmbeddedComplex:
@@ -293,7 +293,7 @@ def build_complex(vertices, top_simplices, ambient_dim=None) -> EmbeddedComplex:
     sizes = [len(t) for t in top_simplices]
     if 0 in sizes:
         raise ValueError("simplex () has no vertices")
-    tops = [np.sort(vertex_rows([t for t, k in zip(top_simplices, sizes) if k == d + 1], d + 1), axis=1)
+    tops = [vertex_rows([t for t, k in zip(top_simplices, sizes) if k == d + 1], d + 1)[1]
             for d in range(max(sizes, default=1))]
     for rows in tops:
         out = np.flatnonzero((rows[:, 0] < 0) | (rows[:, -1] >= nv))
@@ -307,9 +307,8 @@ def build_complex(vertices, top_simplices, ambient_dim=None) -> EmbeddedComplex:
 
 
 def _closed_complex(vertices, tops) -> EmbeddedComplex:
-    """The complex of the valid d-simplices ``tops[d]`` and all their faces;
-    each top must be nondegenerate."""
-    tops = [np.array(t, dtype=np.intp).reshape(-1, d + 1) for d, t in enumerate(tops)]
+    """The complex of the valid d-simplices ``tops[d]`` (sorted (n, d+1) int
+    rows) and all their faces; each top must be nondegenerate."""
     # face closure, top down, one lexicographic deduplication per dimension
     levels = [_distinct(tops[-1])]
     for d in range(len(tops) - 2, -1, -1):

@@ -53,9 +53,9 @@ class PolyhedralVarifold:
         if weights.shape != ids.shape:
             raise ValueError("varifold needs one weight per simplex id")
         n = complex.n_simplices(dimension)
-        if ids.size and (ids[0] < 0 or ids[-1] >= n or np.any(np.diff(ids) <= 0)):
+        if ids.size and (ids[0] < 0 or ids[-1] >= n or (ids[1:] <= ids[:-1]).any()):
             raise ValueError(f"simplex ids must increase strictly within 0..{n - 1}")
-        if not np.all((weights > 0) & (weights < math.inf)):
+        if not ((weights > 0) & (weights < math.inf)).all():
             raise ValueError("stored weights must be finite and strictly positive")
         self.complex = complex
         self.dimension = dimension
@@ -80,7 +80,7 @@ def make_varifold(K: EmbeddedComplex, m: int, weighted_simplices) -> PolyhedralV
     """
     pairs = list(weighted_simplices)
     weights = np.array([c for _, c in pairs], dtype=float)
-    if not np.all((weights >= 0) & (weights < math.inf)):
+    if not ((weights >= 0) & (weights < math.inf)).all():
         raise ValueError("varifold weights must be finite and nonnegative")
     given = np.array([isinstance(s, (int, np.integer)) for s, _ in pairs], dtype=bool)
     sids = np.zeros(len(pairs), dtype=np.intp)
@@ -90,11 +90,10 @@ def make_varifold(K: EmbeddedComplex, m: int, weighted_simplices) -> PolyhedralV
         raise ValueError(f"simplex id {out} out of range")
     sids[given] = ids
     tuples = [s for (s, _), g in zip(pairs, given) if not g]
-    sids[~given] = K.simplex_ids(np.sort(vertex_rows(tuples, m + 1), axis=1))
-    sids, inverse = np.unique(sids, return_inverse=True)
-    summed = np.bincount(inverse, weights, minlength=sids.size)
-    keep = summed > 0
-    return PolyhedralVarifold(K, m, sids[keep], summed[keep])
+    sids[~given] = K.simplex_ids(vertex_rows(tuples, m + 1)[1])
+    summed = np.bincount(sids, weights, minlength=K.n_simplices(m))
+    ids = np.flatnonzero(summed)
+    return PolyhedralVarifold(K, m, ids, summed[ids])
 
 
 def conormal(K: EmbeddedComplex, sigma, tau, tol=None) -> np.ndarray:
@@ -296,7 +295,9 @@ def boundary_region_for(V: PolyhedralVarifold) -> BoundaryRegion:
 def transport_varifold(V: PolyhedralVarifold, corr: SubdivisionMap) -> PolyhedralVarifold:
     if corr.src is not V.complex:
         raise ValueError("subdivision map was built for a different complex")
-    children = abs(corr.matrices[V.dimension][:, V.ids]) @ V.weights
+    parents = np.zeros(V.complex.n_simplices(V.dimension))
+    parents[V.ids] = V.weights
+    children = abs(corr.matrices[V.dimension]) @ parents
     ids = np.flatnonzero(children)
     return PolyhedralVarifold(corr.dst, V.dimension, ids, children[ids])
 
