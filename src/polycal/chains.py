@@ -18,6 +18,7 @@ from .complexes import (
     BoundaryRegion,
     EmbeddedComplex,
     SubdivisionMap,
+    interior_faces,
     json_list,
     pushforward_complex,
     vertex_pairs,
@@ -154,12 +155,7 @@ def mass(A: Chain) -> float:
 
 def is_supported_in(A: Chain, gamma: BoundaryRegion, tol=None) -> bool:
     """True iff every coefficient of A above the tolerance sits inside gamma."""
-    if gamma.face_dim != A.dimension:
-        raise ValueError(
-            f"chain has dimension {A.dimension} but region holds "
-            f"{gamma.face_dim}-faces"
-        )
-    outside = ~np.isin(A.ids, list(gamma.face_ids))
+    outside = interior_faces(A.complex, A.dimension + 1, gamma)[A.ids]
     return not np.any(A.group.norms(A.coeffs[outside]) > config.zero_tol(tol))
 
 
@@ -174,10 +170,13 @@ def transport_chain(A: Chain, corr: SubdivisionMap) -> Chain:
 
 @dataclass
 class PushforwardResult:
+    """``new_ids`` as from ``pushforward_complex``; ``dropped`` holds the ids
+    of A's simplices whose image collapsed."""
+
     chain: "Chain"
     complex: EmbeddedComplex
-    simplex_map: dict
-    dropped: list
+    new_ids: list
+    dropped: np.ndarray
     gamma: BoundaryRegion | None = None
 
 
@@ -190,19 +189,16 @@ def pushforward_chain(
     injective on vertices.  Simplices whose image collapses carry zero mass
     and are dropped; the result records them.
     """
-    image, smap, _, new_gamma = pushforward_complex(
+    image, new_ids, new_gamma = pushforward_complex(
         A.complex, images, frozen=frozen, gamma=gamma, tol=tol
     )
-    d = A.dimension
-    new_ids = [smap[(d, i)] for i in A.ids.tolist()]
-    kept = np.array([j is not None for j in new_ids], dtype=bool)
-    chain = Chain(image, d, A.group, [j for j in new_ids if j is not None], A.coeffs[kept])
-    dropped = [(d, int(i)) for i in A.ids[~kept]]
+    moved = new_ids[A.dimension][A.ids]
+    kept = moved >= 0
     return PushforwardResult(
-        chain=chain,
+        chain=Chain(image, A.dimension, A.group, moved[kept], A.coeffs[kept]),
         complex=image,
-        simplex_map=smap,
-        dropped=dropped,
+        new_ids=new_ids,
+        dropped=A.ids[~kept],
         gamma=new_gamma,
     )
 

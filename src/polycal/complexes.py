@@ -345,15 +345,17 @@ def complex_from_json(doc) -> tuple:
     return K, gamma
 
 
-def interior_faces(K: EmbeddedComplex, m: int, gamma: BoundaryRegion) -> list:
-    """All (m-1)-simplex ids of K not designated as boundary."""
+def interior_faces(K: EmbeddedComplex, m: int, gamma: BoundaryRegion) -> np.ndarray:
+    """Boolean mask over the (m-1)-simplices of K: True off the boundary region."""
     if gamma.complex is not K:
         raise ValueError("boundary region belongs to a different complex")
     if gamma.face_dim != m - 1:
         raise ValueError(
             f"boundary region has face dimension {gamma.face_dim}, expected {m - 1}"
         )
-    return [i for i in range(K.n_simplices(m - 1)) if i not in gamma.face_ids]
+    inside = np.ones(K.n_simplices(m - 1), dtype=bool)
+    inside[list(gamma.face_ids)] = False
+    return inside
 
 
 # ---------------------------------------------------------------------------
@@ -546,8 +548,10 @@ def pushforward_complex(K: EmbeddedComplex, images, frozen=(), gamma=None, tol=N
     ``images`` is a (V, N) array or a {vertex_id: point} dict overlaying the
     original coordinates.  Vertices in ``frozen`` and the vertices of the
     boundary region ``gamma`` must map to themselves, and all images must
-    stay pairwise distinct.  Returns (new complex, {(d, old_id): new_id or
-    None}, dropped list, gamma carried to the new complex or None).
+    stay pairwise distinct.  Returns (new complex, new_ids, gamma carried to
+    the new complex or None): ``new_ids[d]`` holds each d-simplex's id in the
+    new complex, or -1 where its image collapsed.  Kept simplices keep their
+    order, so each ``new_ids[d]`` increases strictly off the -1 entries.
     """
     tol = config.zero_tol(tol)
     frozen = set(int(v) for v in frozen)
@@ -571,18 +575,13 @@ def pushforward_complex(K: EmbeddedComplex, images, frozen=(), gamma=None, tol=N
         if pairs:
             u, v = sorted(pairs)[0]
             raise ValueError(f"vertex collision: images of {u} and {v} coincide")
-    kept, simplex_map, dropped = [], {}, []
-    for d, rows in enumerate(K.simplex_rows):
+    new_ids = []
+    for rows in K.simplex_rows:
         flat = degenerate(coords[rows], tol)
-        new_ids = np.where(flat, -1, np.cumsum(~flat) - 1).tolist()
-        simplex_map.update({(d, sid): (None if j < 0 else j) for sid, j in enumerate(new_ids)})
-        dropped += [(d, sid) for sid in np.flatnonzero(flat).tolist()]
-        kept.append(rows[~flat])
-    image = EmbeddedComplex(coords, kept)
+        new_ids.append(np.where(flat, -1, np.cumsum(~flat) - 1))
+    image = EmbeddedComplex(coords, [rows[ids >= 0] for rows, ids in zip(K.simplex_rows, new_ids)])
     image_gamma = None
     if gamma is not None:
-        ids = (simplex_map[(gamma.face_dim, i)] for i in gamma.face_ids)
-        image_gamma = BoundaryRegion(
-            image, gamma.face_dim, frozenset(i for i in ids if i is not None)
-        )
-    return image, simplex_map, dropped, image_gamma
+        moved = new_ids[gamma.face_dim][list(gamma.face_ids)]
+        image_gamma = BoundaryRegion(image, gamma.face_dim, frozenset(moved[moved >= 0].tolist()))
+    return image, new_ids, image_gamma

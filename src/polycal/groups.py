@@ -61,16 +61,6 @@ class CoefficientGroup:
     def zero(self) -> np.ndarray:
         return np.zeros(self.width, dtype=self.dtype)
 
-    def add(self, g, h):
-        return g + h
-
-    def neg(self, g):
-        return -g
-
-    def scale(self, g, k: int):
-        """Integer multiple k*g."""
-        return g * k
-
     def norm(self, g) -> float:
         return float(self.norms(np.reshape(g, (1, self.width)))[0])
 
@@ -80,9 +70,6 @@ class CoefficientGroup:
 
     def is_zero(self, g, tol=None) -> bool:
         return bool(self.zero_rows(np.reshape(g, (1, self.width)), tol)[0])
-
-    def equal(self, g, h, tol=None) -> bool:
-        return self.is_zero(self.add(g, self.neg(h)), tol)
 
     def coeff_to_json(self, g):
         return g.tolist()
@@ -211,39 +198,33 @@ class SubgroupWithNorm(CoefficientGroup):
     def representation_cost(self, coords) -> float:
         return sum(abs(int(n)) * w for n, w in zip(coords, self.generator_norms))
 
-    def _enumerate(self, radius: float, tol: float) -> list:
+    def _enumerate(self, radius: float, tol: float):
         """Every integer coordinate vector with cost <= radius + tol.
 
-        Depth first over the generators in search order; entries are (coords
-        in search order, cost, ambient value).  A zero-norm generator stays
-        at 0: a true norm forces it to be the zero element, so its
-        coordinate is irrelevant.
+        Returns (coords, costs, values): the (n, width) int coordinates in
+        generator order, their costs and ambient values.  Rows grow one
+        generator at a time in search order, each extended by n = 0, 1, -1,
+        2, -2, ...; the kept (row, step) pairs, in grid order, list the
+        vectors depth first.  A zero-norm generator stays at 0: a true norm
+        forces it to be the zero element, so its coordinate is irrelevant.
         """
-        norms = [self.generator_norms[i] for i in self._order]
-        gens = [self.generators[i] for i in self._order]
-        found = []
-
-        def descend(level, cost, acc, coords):
-            if level == self.width:
-                found.append((tuple(coords), cost, acc))
-                return
-            w = norms[level]
-            max_n = 0 if w <= tol else int(math.floor((radius + tol - cost) / w))
-            for n in _signed_range(max_n):
-                c = cost + abs(n) * w
-                if c > radius + tol:
-                    continue
-                nxt = acc if n == 0 else self.ambient.add(acc, self.ambient.scale(gens[level], n))
-                descend(level + 1, c, nxt, coords + [n])
-
-        descend(0, 0.0, self.ambient.zero(), [])
-        return found
-
-    def _from_search_order(self, search_coords) -> tuple:
-        coords = [0] * self.width
-        for pos, i in enumerate(self._order):
-            coords[i] = search_coords[pos]
-        return tuple(coords)
+        coords = np.zeros((1, self.width), dtype=np.int64)
+        costs = np.zeros(1)
+        values = self.ambient.zero()[None, :]
+        for i in self._order:
+            w = self.generator_norms[i]
+            top = 0 if w <= tol else int(math.floor((radius + tol) / w))
+            k = np.arange(2 * top + 1)
+            steps = (k + 1) // 2 * np.where(k % 2, 1, -1)
+            grid = costs[:, None] + np.abs(steps) * w
+            reach = np.floor((radius + tol - costs) / w) if w > tol else np.zeros_like(costs)
+            rows, picked = np.nonzero((np.abs(steps) <= reach[:, None]) & (grid <= radius + tol))
+            n = steps[picked]
+            coords, costs, values = coords[rows], grid[rows, picked], values[rows]
+            coords[:, i] = n
+            moved = n != 0
+            values[moved] = values[moved] + self.generators[i] * n[moved, None]
+        return coords, costs, values
 
     def represent(self, value, budget: float, tol=None):
         """Cheapest integer representation of an ambient value.
@@ -253,13 +234,12 @@ class SubgroupWithNorm(CoefficientGroup):
         go to the first vector in search order.
         """
         tol = config.zero_tol(tol)
-        best = None
-        for coords, cost, acc in self._enumerate(budget, tol):
-            if (best is None or cost < best[1]) and self.ambient.equal(value, acc, tol):
-                best = (coords, cost)
-        if best is None:
+        coords, costs, values = self._enumerate(budget, tol)
+        hits = np.flatnonzero(self.ambient.zero_rows(values - value, tol))
+        if not hits.size:
             return None
-        return self._from_search_order(best[0]), best[1]
+        best = hits[np.argmin(costs[hits])]
+        return tuple(coords[best].tolist()), float(costs[best])
 
     def norms(self, rows):
         return np.array([self._norm(tuple(r)) for r in np.asarray(rows).tolist()], dtype=float)
@@ -300,13 +280,6 @@ class SubgroupWithNorm(CoefficientGroup):
         return hash(("subgroup", self.ambient, self.width))
 
 
-def _signed_range(max_abs: int):
-    yield 0
-    for n in range(1, max_abs + 1):
-        yield n
-        yield -n
-
-
 def subgroup_norm(H: SubgroupWithNorm, coords) -> float:
     """|g|_H for the element with the given integer coordinates."""
     return H.norm(H.coerce(coords))
@@ -331,15 +304,15 @@ def norm_ball(H: SubgroupWithNorm, lam: float):
         raise ValueError("norm ball radius must be nonnegative")
     if any(w <= config.ZERO_TOL for w in H.generator_norms):
         raise ValueError("norm_ball needs strictly positive generator norms")
-    found = H._enumerate(lam, config.ZERO_TOL)  # coords in search order
-    # merge coincidences: distinct coordinates, same ambient element
-    members = []
-    for oc, cost, value in sorted(found, key=lambda item: (item[1], item[0])):
-        for m in members:
-            if H.ambient.equal(m.value, value):
-                break
-        else:
-            members.append(BallMember(coords=H._from_search_order(oc), norm=cost, value=value))
+    coords, costs, values = H._enumerate(lam, config.ZERO_TOL)
+    # merge coincidences, cheapest first: distinct coordinates, same element
+    keys = np.vstack([coords[:, H._order[::-1]].T, costs])
+    kept = []
+    for k in np.lexsort(keys).tolist():
+        if not (kept and H.ambient.zero_rows(values[kept] - values[k]).any()):
+            kept.append(k)
+    members = [BallMember(coords=tuple(coords[k].tolist()), norm=float(costs[k]), value=values[k])
+               for k in kept]
     members.sort(key=lambda m: (m.norm, m.coords))
     return members
 
@@ -378,10 +351,10 @@ def verify_group_axioms(G: CoefficientGroup, samples, tol=1e-9) -> AxiomReport:
             violations.append({"axiom": "nonnegativity", "sample": i, "norm": ng})
         if ng <= tol and not G.is_zero(g, tol):
             violations.append({"axiom": "definiteness", "sample": i, "norm": ng})
-        if abs(G.norm(G.neg(g)) - ng) > tol:
+        if abs(G.norm(-g) - ng) > tol:
             violations.append({"axiom": "symmetry", "sample": i})
         for j, h in enumerate(samples):
-            if G.norm(G.add(g, h)) > ng + G.norm(h) + tol:
+            if G.norm(g + h) > ng + G.norm(h) + tol:
                 violations.append({"axiom": "triangle", "samples": [i, j]})
     return AxiomReport(passed=not violations, violations=violations)
 

@@ -26,6 +26,7 @@ from .complexes import (
     EmbeddedComplex,
     SubdivisionMap,
     build_complex,
+    interior_faces,
     json_list,
     longest_edge,
     pushforward_complex,
@@ -216,15 +217,12 @@ def stationarity(
     """
     tol = config.zero_tol(tol)
     K, m = V.complex, V.dimension
-    if gamma.complex is not K or gamma.face_dim != m - 1:
-        raise ValueError("boundary region does not match the varifold")
+    interior = interior_faces(K, m, gamma)
     A = chainify(V)
     bchain = boundary(A)
     nf = K.n_simplices(m - 1)
     brows = np.zeros((nf, bchain.group.width))
     brows[bchain.ids] = bchain.coeffs
-    interior = np.ones(nf, dtype=bool)
-    interior[list(gamma.face_ids)] = False
     # (weighted simplex, slot) pairs on interior faces, stably sorted by face
     face = K.faces[m][V.ids].ravel()
     sid, weight = np.repeat(V.ids, m + 1), np.repeat(V.weights, m + 1)
@@ -304,10 +302,13 @@ def transport_varifold(V: PolyhedralVarifold, corr: SubdivisionMap) -> Polyhedra
 
 @dataclass
 class VarifoldPushforward:
+    """``new_ids`` as from ``pushforward_complex``; ``dropped`` holds the ids
+    of V's simplices whose image collapsed."""
+
     varifold: PolyhedralVarifold
     complex: EmbeddedComplex
-    simplex_map: dict
-    dropped: list
+    new_ids: list
+    dropped: np.ndarray
     gamma: BoundaryRegion | None = None
 
 
@@ -315,18 +316,16 @@ def pushforward_varifold(
     V: PolyhedralVarifold, images, frozen=(), gamma: BoundaryRegion | None = None, tol=None
 ) -> VarifoldPushforward:
     """Relocate vertices; weights ride along, collapsed simplices are dropped."""
-    image, smap, _, new_gamma = pushforward_complex(
+    image, new_ids, new_gamma = pushforward_complex(
         V.complex, images, frozen=frozen, gamma=gamma, tol=tol
     )
-    d = V.dimension
-    new_ids = [smap[(d, i)] for i in V.ids.tolist()]
-    kept = np.array([j is not None for j in new_ids], dtype=bool)
-    dropped = [(d, i) for i in V.ids[~kept].tolist()]
+    moved = new_ids[V.dimension][V.ids]
+    kept = moved >= 0
     return VarifoldPushforward(
-        varifold=PolyhedralVarifold(image, d, [j for j in new_ids if j is not None], V.weights[kept]),
+        varifold=PolyhedralVarifold(image, V.dimension, moved[kept], V.weights[kept]),
         complex=image,
-        simplex_map=smap,
-        dropped=dropped,
+        new_ids=new_ids,
+        dropped=V.ids[~kept],
         gamma=new_gamma,
     )
 
@@ -416,7 +415,7 @@ def deform_experiment(V, gamma, trials: int, magnitude: float, seed: int = 0, to
         except ValueError:
             rejected += 1
             continue
-        if any(new_id is None for new_id in res.simplex_map.values()):
+        if any((ids < 0).any() for ids in res.new_ids):
             rejected += 1
             continue
         ratios.append(res.varifold.mass() / base_mass)

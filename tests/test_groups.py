@@ -38,6 +38,98 @@ def real_subgroup(*gens):
     return SubgroupWithNorm(RealGroup(), gens)
 
 
+def reference_enumerate(H, radius, tol):
+    """The recursive depth-first search that the array search replaced.
+
+    Generators in descending norm, steps 0, 1, -1, 2, -2, ... at each level,
+    one ambient element at a time; entries are (coords in generator order,
+    cost, ambient value).
+    """
+    order = sorted(range(H.width), key=lambda i: -H.generator_norms[i])
+    found = []
+
+    def descend(level, cost, acc, coords):
+        if level == H.width:
+            found.append((tuple(coords), cost, acc))
+            return
+        i = order[level]
+        w = H.generator_norms[i]
+        max_n = 0 if w <= tol else int(math.floor((radius + tol - cost) / w))
+        for n in [0] + [s * k for k in range(1, max_n + 1) for s in (1, -1)]:
+            c = cost + abs(n) * w
+            if c > radius + tol:
+                continue
+            nxt = acc if n == 0 else acc + H.generators[i] * n
+            descend(level + 1, c, nxt, coords[:i] + [n] + coords[i + 1:])
+
+    descend(0, 0.0, H.ambient.zero(), [0] * H.width)
+    return found
+
+
+def reference_represent(H, value, budget, tol=1e-9):
+    best = None
+    for coords, cost, acc in reference_enumerate(H, budget, tol):
+        if (best is None or cost < best[1]) and H.ambient.is_zero(value - acc, tol):
+            best = (coords, cost)
+    return best
+
+
+def reference_norm_ball(H, lam):
+    order = sorted(range(H.width), key=lambda i: -H.generator_norms[i])
+    found = reference_enumerate(H, lam, 1e-9)
+    members = []
+    for coords, cost, value in sorted(found, key=lambda e: (e[1], [e[0][i] for i in order])):
+        if not any(H.ambient.is_zero(m.value - value) for m in members):
+            members.append(BallMember(coords=coords, norm=cost, value=value))
+    members.sort(key=lambda m: (m.norm, m.coords))
+    return members
+
+
+def random_subgroup(rng):
+    """A subgroup of R, Z or Lambda_2 R^3 with 1-3 generators, maybe one of norm 0."""
+    kind = rng.integers(3)
+    n = int(rng.integers(1, 4))
+    sizes = rng.uniform(0.5, 3, n) * rng.choice([-1, 1], n)
+    if kind == 0:
+        G, gens = RealGroup(), [float(x) for x in sizes]
+    elif kind == 1:
+        G, gens = IntegerGroup(), [int(x) for x in rng.integers(-5, 6, n)]
+    else:
+        units = rng.standard_normal((n, 3))
+        units /= np.linalg.norm(units, axis=1, keepdims=True)
+        G, gens = MultivectorGroup(3, 2), list(units * sizes[:, None])
+    if n > 1 and rng.random() < 0.3:
+        gens[int(rng.integers(n))] = 0 * gens[0]
+    if all(np.all(np.asarray(g) == 0) for g in gens):
+        gens[0] = 1.0 if kind == 0 else 1 if kind == 1 else np.ones(3)
+    return SubgroupWithNorm(G, gens)
+
+
+def test_array_search_matches_the_recursive_search():
+    rng = np.random.default_rng(71)
+    for _ in range(60):
+        H = random_subgroup(rng)
+        radius = float(rng.uniform(0, 3.5)) * max(H.generator_norms)
+        coords, costs, values = H._enumerate(radius, 1e-9)
+        ref = reference_enumerate(H, radius, 1e-9)
+        assert [tuple(c) for c in coords.tolist()] == [c for c, _, _ in ref]
+        assert repr(costs.tolist()) == repr([cost for _, cost, _ in ref])
+        assert repr(values.tolist()) == repr([v.tolist() for _, _, v in ref])
+        targets = [v for _, _, v in ref[:: max(1, len(ref) // 5)]]
+        targets.append(H.ambient.coerce(rng.uniform(-4, 4, H.ambient.width).round()))
+        for value in targets:
+            budget = float(rng.uniform(0, 3.5)) * max(H.generator_norms)
+            assert repr(H.represent(value, budget)) == repr(reference_represent(H, value, budget))
+        for row in rng.integers(-2, 3, (3, H.width)):
+            stored = H.representation_cost(row)
+            found = reference_represent(H, H.value(row), stored)
+            assert H.norm(row) == (stored if found is None else found[1])
+        if min(H.generator_norms) > 1e-9:
+            got, want = norm_ball(H, radius), reference_norm_ball(H, radius)
+            assert [(m.coords, m.norm, m.value.tolist()) for m in got] == \
+                [(m.coords, m.norm, m.value.tolist()) for m in want]
+
+
 # ---------------------------------------------------------------------------
 # subgroup norm
 
