@@ -186,6 +186,25 @@ def test_flat_bound_triangle_fill_beats_perimeter():
     assert rep.phi is None  # grade 2 coefficients on a 1-chain
     assert rep.flat_value == pytest.approx(0.5, abs=1e-6)
     assert rep.mass == pytest.approx(2 + math.sqrt(2.0))
+    # the solver's proof: its weak-duality bound and the gap to it
+    assert rep.iterations > 0
+    assert rep.gap == rep.flat_value - rep.lower_bound
+    assert 0.0 <= rep.gap <= 1e-6
+
+
+def test_flat_bound_reports_solver_error(monkeypatch):
+    import polycal.calibration as calibration
+
+    def broken(A, config=None):
+        raise RuntimeError("no convergence")
+
+    monkeypatch.setattr(calibration, "flat_norm_solve", broken)
+    K = build_complex([[0, 0], [1, 0], [0, 1]], [(0, 1, 2)])
+    A = make_chain(K, 1, MultivectorGroup(2, 1), [((0, 1), [1.0, 0.0])])
+    rep = calibration.phi_flat_bound(A)
+    assert (rep.solver_status, rep.passed, rep.notes) == ("error", False, "no convergence")
+    assert (rep.lower_bound, rep.gap, rep.iterations) == (None, None, 0)
+    assert rep.to_json()["lower_bound"] is None
 
 
 def test_flat_bound_zero_chain():

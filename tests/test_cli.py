@@ -107,6 +107,8 @@ def test_flatnorm_triangle(tmp_path, capsys):
     assert code == 0
     assert report["flat_value"] == pytest.approx(0.5, abs=1e-6)
     assert report["mass"] == pytest.approx(2.0 + math.sqrt(2.0))
+    assert report["gap"] == report["flat_value"] - report["lower_bound"]
+    assert report["iterations"] > 0
 
 
 def test_groupnorm_command(tmp_path, capsys):
@@ -236,6 +238,21 @@ SEGMENTS = [[0, 1], [0, 2]]
             {"vertices": TRIANGLE_VERTICES, "simplices": SEGMENTS},
             {"dimension": 1, "weights": [{"simplex": 10**30, "c": 1.0}]},
         ),
+        ({"vertices": TRIANGLE_VERTICES, "simplices": [[0, 1.5]]}, None),
+        ({"vertices": TRIANGLE_VERTICES, "simplices": [[True, 2]]}, None),
+        ({"vertices": TRIANGLE_VERTICES, "simplices": SEGMENTS, "gamma_faces": [[0.5]]}, None),
+        (
+            {"vertices": TRIANGLE_VERTICES, "simplices": SEGMENTS},
+            {"dimension": 1, "weights": [{"simplex": [0, 1.5], "c": 1.0}]},
+        ),
+        (
+            {"vertices": TRIANGLE_VERTICES, "simplices": SEGMENTS},
+            {"dimension": 1.5, "weights": [{"simplex": [0, 1], "c": 1.0}]},
+        ),
+        (
+            {"vertices": TRIANGLE_VERTICES, "simplices": SEGMENTS},
+            {"dimension": 1, "weights": [{"simplex": True, "c": 1.0}]},
+        ),
     ],
 )
 def test_malformed_document_is_exit_two(tmp_path, capsys, complex_doc, varifold_doc):
@@ -252,6 +269,11 @@ MALFORMED_CHAIN_TERMS = {
     "wrong-size": {"simplex": [0, 1, 2], "coeff": 1.0},
     "repeated-vertex": {"simplex": [1, 1], "coeff": 1.0},
     "not-in-complex": {"simplex": [1, 2], "coeff": 1.0},
+    "null-simplex": {"simplex": None, "coeff": 1.0},
+    "number-simplex": {"simplex": 1, "coeff": 1.0},
+    "no-coeff": {"simplex": [0, 1]},
+    "fractional-vertex": {"simplex": [0, 1.5], "coeff": 1.0},
+    "bool-vertex": {"simplex": [False, 1], "coeff": 1.0},
 }
 
 
@@ -262,6 +284,15 @@ def test_malformed_chain_term_is_exit_two(tmp_path, capsys, term):
     cpath = write(tmp_path, "complex.json", {"vertices": TRIANGLE_VERTICES, "simplices": SEGMENTS})
     chpath = write(tmp_path, "chain.json",
                    {"dimension": 1, "group": {"kind": "real"}, "terms": [term]})
+    assert main(["flatnorm", "--in", cpath, "--in", chpath]) == 2
+    assert "polycal: error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dimension", [1.5, True, "1"])
+def test_non_integral_chain_dimension_is_exit_two(tmp_path, capsys, dimension):
+    cpath = write(tmp_path, "complex.json", {"vertices": TRIANGLE_VERTICES, "simplices": SEGMENTS})
+    chpath = write(tmp_path, "chain.json", {"dimension": dimension, "group": {"kind": "real"},
+                                            "terms": [{"simplex": [0, 1], "coeff": 1.0}]})
     assert main(["flatnorm", "--in", cpath, "--in", chpath]) == 2
     assert "polycal: error" in capsys.readouterr().err
 
