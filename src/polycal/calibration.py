@@ -15,7 +15,6 @@ replay them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +28,7 @@ from .chains import (
     mass,
     transport_chain,
 )
-from .complexes import BoundaryRegion, EmbeddedComplex, interior_faces, subdivide
+from .complexes import BoundaryRegion, EmbeddedComplex, digest, interior_faces, subdivide
 from .exterior_algebra import rowdot
 from .groups import MultivectorGroup, group_to_json
 from .solver import MinMassProblem, SolverConfig, min_mass_fixed_boundary, flat_norm_solve
@@ -105,17 +104,15 @@ class Certificate:
         }
 
 
-def _provenance(K: EmbeddedComplex, group, tols: dict, extra=None) -> dict:
-    out = {
+def _provenance(K: EmbeddedComplex, group, tols: dict, extra: dict) -> dict:
+    return {
         "complex_hash": K.content_hash(),
         "group": group_to_json(group),
         "tolerances": tols,
         "version": __version__,
         "competitor_class": COMPETITOR_CLASS,
+        **extra,
     }
-    if extra:
-        out.update(extra)
-    return out
 
 
 def _calibration_checks(A: Chain, tol: float):
@@ -162,7 +159,7 @@ def certify_calibrated(A: Chain, tol: float = 1e-9) -> Certificate:
     """
     checks, value, total_mass = _calibration_checks(A, tol)
     ok = all(c.passed for c in checks)
-    subject = "chain:" + _digest(chain_to_json(A))
+    subject = "chain:" + digest(chain_to_json(A))
     return Certificate(
         subject=subject,
         checks=checks,
@@ -171,12 +168,6 @@ def certify_calibrated(A: Chain, tol: float = 1e-9) -> Certificate:
             A.complex, A.group, {"tol": tol}, {"phi": value, "mass": total_mass}
         ),
     )
-
-
-def _digest(doc) -> str:
-    import hashlib
-
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 
 
 @dataclass
@@ -227,6 +218,9 @@ class FlatBoundReport:
     passed: bool
     solver_status: str
     notes: str = ""
+    lower_bound: float | None = None
+    gap: float | None = None
+    iterations: int = 0
 
     def to_json(self):
         return {
@@ -236,6 +230,9 @@ class FlatBoundReport:
             "passed": self.passed,
             "solver_status": self.solver_status,
             "notes": self.notes,
+            "lower_bound": self.lower_bound,
+            "gap": self.gap,
+            "iterations": self.iterations,
         }
 
 
@@ -253,8 +250,6 @@ def phi_flat_bound(A: Chain, solver_config: SolverConfig | None = None, tol: flo
         value = phi(A)
     try:
         res = flat_norm_solve(A, config=solver_config)
-        flat_value, status = res.value, res.status
-        notes = "zero filling retained" if res.used_zero_filling else ""
     except Exception as exc:  # solver failure is a report, not an error
         return FlatBoundReport(
             phi=value,
@@ -264,16 +259,19 @@ def phi_flat_bound(A: Chain, solver_config: SolverConfig | None = None, tol: flo
             solver_status="error",
             notes=str(exc),
         )
-    ok = flat_value <= total_mass + tol
+    ok = res.value <= total_mass + tol
     if value is not None:
-        ok = ok and (value <= flat_value + tol)
+        ok = ok and (value <= res.value + tol)
     return FlatBoundReport(
         phi=value,
-        flat_value=flat_value,
+        flat_value=res.value,
         mass=total_mass,
         passed=ok,
-        solver_status=status,
-        notes=notes,
+        solver_status=res.status,
+        notes="zero filling retained" if res.used_zero_filling else "",
+        lower_bound=res.lower_bound,
+        gap=res.value - res.lower_bound,
+        iterations=res.iterations,
     )
 
 
@@ -357,7 +355,7 @@ def minimality_certificate(
         conclusion = "not-calibrated"
     else:
         conclusion = "inconclusive"
-    subject = "varifold:" + _digest(varifold_to_json(V))
+    subject = "varifold:" + digest(varifold_to_json(V))
     offending = [
         {"face": list(K.simplex_tuple(V.dimension - 1, sid)), "coefficient_norm": norm}
         for sid, norm in zip(dA.ids[interior].tolist(), interior_norms.tolist())

@@ -19,6 +19,7 @@ from .complexes import (
     EmbeddedComplex,
     SubdivisionMap,
     interior_faces,
+    json_integer,
     json_list,
     pushforward_complex,
     vertex_pairs,
@@ -170,11 +171,7 @@ def transport_chain(A: Chain, corr: SubdivisionMap) -> Chain:
 
 @dataclass
 class PushforwardResult:
-    """``new_ids`` as from ``pushforward_complex``; ``dropped`` holds the ids
-    of A's simplices whose image collapsed."""
-
     chain: "Chain"
-    complex: EmbeddedComplex
     new_ids: list
     dropped: np.ndarray
     gamma: BoundaryRegion | None = None
@@ -187,7 +184,8 @@ def pushforward_chain(
 
     The map must fix every vertex of ``gamma`` and of ``frozen`` and stay
     injective on vertices.  Simplices whose image collapses carry zero mass
-    and are dropped; the result records them.
+    and are dropped: the result holds their ids and the ``new_ids`` of
+    ``pushforward_complex``.
     """
     image, new_ids, new_gamma = pushforward_complex(
         A.complex, images, frozen=frozen, gamma=gamma, tol=tol
@@ -196,7 +194,6 @@ def pushforward_chain(
     kept = moved >= 0
     return PushforwardResult(
         chain=Chain(image, A.dimension, A.group, moved[kept], A.coeffs[kept]),
-        complex=image,
         new_ids=new_ids,
         dropped=A.ids[~kept],
         gamma=new_gamma,
@@ -242,5 +239,9 @@ def chain_to_json(A: Chain) -> dict:
 
 def chain_from_json(K: EmbeddedComplex, doc: dict) -> Chain:
     G = group_from_json(doc["group"])
-    terms = [(term["simplex"], term["coeff"]) for term in json_list(doc, "terms", dict)]
-    return make_chain(K, int(doc["dimension"]), G, terms)
+    terms = []
+    for term in json_list(doc, "terms", dict):
+        if not isinstance(term.get("simplex"), list) or "coeff" not in term:
+            raise ValueError(f"malformed chain term {term!r}")
+        terms.append((term["simplex"], term["coeff"]))
+    return make_chain(K, json_integer(doc, "dimension"), G, terms)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -222,8 +223,12 @@ class EmbeddedComplex:
     def content_hash(self) -> str:
         doc = self.to_json()
         doc.pop("gamma_faces")
-        payload = json.dumps(doc, sort_keys=True).encode()
-        return hashlib.sha256(payload).hexdigest()[:16]
+        return digest(doc)
+
+
+def digest(doc) -> str:
+    """sha256 of the sorted-key JSON text of ``doc``, cut to 16 hex characters."""
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -247,8 +252,6 @@ class BoundaryRegion:
         face_tuples = list(face_tuples)
         if not face_tuples:
             return cls(complex, 0)
-        if len({len(t) for t in face_tuples}) > 1:
-            raise ValueError("boundary region faces must share one dimension")
         _, rows = vertex_rows(face_tuples, len(face_tuples[0]))
         return cls(complex, rows.shape[1] - 1, frozenset(complex.simplex_ids(rows).tolist()))
 
@@ -256,18 +259,25 @@ class BoundaryRegion:
         return frozenset(self.complex.simplex_rows[self.face_dim][list(self.face_ids)].ravel().tolist())
 
 
+def integral(value) -> bool:
+    """Whether ``value`` is an integer or an integral float, and not a bool."""
+    integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return integer or isinstance(value, float) and value.is_integer()
+
+
 def vertex_rows(tuples, k: int):
     """Sequences of k distinct vertex ids as (n, k) int rows: as given, and sorted."""
     wrong = next((t for t in tuples if len(t) != k), None)
     if wrong is not None:
         raise ValueError(f"{tuple(wrong)} is not a {k - 1}-simplex")
+    # one pass over the types passes the common case, JSON integers only
+    ids = itertools.chain.from_iterable
+    if set(map(type, ids(tuples))) - {int} and not all(map(integral, ids(tuples))):
+        raise ValueError("vertex ids must be integers")
     try:
-        rows = np.array(tuples, dtype=np.intp)
+        rows = np.array(tuples, dtype=np.intp).reshape(len(tuples), k)
     except OverflowError:
         raise ValueError("vertex ids must be integers below 2**63 in size") from None
-    if rows.ndim > 2:
-        raise ValueError("vertex ids must be integers")
-    rows = rows.reshape(len(tuples), k)
     simplices = np.sort(rows, axis=1)
     repeats = np.flatnonzero((simplices[:, 1:] == simplices[:, :-1]).any(axis=1))
     if repeats.size:
@@ -332,6 +342,13 @@ def json_list(doc, key, item=object):
     return value
 
 
+def json_integer(doc, key) -> int:
+    """``doc[key]``, checked to be an integer."""
+    if not integral(doc[key]):
+        raise ValueError(f"{key!r} must be an integer")
+    return int(doc[key])
+
+
 def complex_from_json(doc) -> tuple:
     """Parse the complex JSON format; returns (complex, gamma-or-None)."""
     K = build_complex(
@@ -394,13 +411,8 @@ def _pair_overlap_weight(pa, pb, shared_a, shared_b):
     ka, kb = pa.shape[0], pb.shape[0]
     n = pa.shape[1]
     # variables: barycentric coords lambda (ka) then mu (kb)
-    c = np.zeros(ka + kb)
-    for i in range(ka):
-        if i not in shared_a:
-            c[i] = -1.0
-    for j in range(kb):
-        if j not in shared_b:
-            c[ka + j] = -1.0
+    c = -np.ones(ka + kb)
+    c[list(shared_a) + [ka + j for j in shared_b]] = 0.0
     a_eq = np.zeros((n + 2, ka + kb))
     b_eq = np.zeros(n + 2)
     a_eq[:n, :ka] = pa.T
@@ -420,32 +432,19 @@ def validate_geometry(K: EmbeddedComplex, tol: float = 1e-7) -> GeometryReport:
 
     Report-based: violating pairs are listed, nothing is raised.
     """
-    maximal = K.maximal_simplices()
-    violations = []
-    checked = 0
-    boxes = []
-    for d, i in maximal:
-        pts = K.vertices[list(K.simplex_tuple(d, i))]
-        boxes.append((pts.min(axis=0), pts.max(axis=0)))
-    for a in range(len(maximal)):
-        da, ia = maximal[a]
-        ta = K.simplex_tuple(da, ia)
-        pa = K.vertices[list(ta)]
-        for b in range(a + 1, len(maximal)):
-            db, ib = maximal[b]
-            lo_a, hi_a = boxes[a]
-            lo_b, hi_b = boxes[b]
-            if np.any(lo_a > hi_b + tol) or np.any(lo_b > hi_a + tol):
-                continue
-            tb = K.simplex_tuple(db, ib)
-            pb = K.vertices[list(tb)]
-            shared = set(ta) & set(tb)
-            shared_a = {k for k, v in enumerate(ta) if v in shared}
-            shared_b = {k for k, v in enumerate(tb) if v in shared}
-            checked += 1
-            weight = _pair_overlap_weight(pa, pb, shared_a, shared_b)
-            if weight is not None and weight > tol:
-                violations.append((ta, tb, weight))
+    tuples = [K.simplex_tuple(d, i) for d, i in K.maximal_simplices()]
+    points = [K.vertices[list(t)] for t in tuples]
+    lo, hi = [p.min(axis=0) for p in points], [p.max(axis=0) for p in points]
+    violations, checked = [], 0
+    for a, b in itertools.combinations(range(len(tuples)), 2):
+        if np.any(lo[a] > hi[b] + tol) or np.any(lo[b] > hi[a] + tol):
+            continue
+        ta, tb = tuples[a], tuples[b]
+        checked += 1
+        weight = _pair_overlap_weight(points[a], points[b], {k for k, v in enumerate(ta) if v in tb},
+                                      {k for k, v in enumerate(tb) if v in ta})
+        if weight is not None and weight > tol:
+            violations.append((ta, tb, weight))
     return GeometryReport(valid=not violations, violations=violations, pairs_checked=checked)
 
 

@@ -213,11 +213,11 @@ class SubgroupWithNorm(CoefficientGroup):
         values = self.ambient.zero()[None, :]
         for i in self._order:
             w = self.generator_norms[i]
-            top = 0 if w <= tol else int(math.floor((radius + tol) / w))
-            k = np.arange(2 * top + 1)
+            # the largest step of each row; the cost-0 row has the largest
+            reach = np.floor((radius + tol - costs) / w) if w > tol else np.zeros_like(costs)
+            k = np.arange(2 * int(reach.max(initial=-1)) + 1)
             steps = (k + 1) // 2 * np.where(k % 2, 1, -1)
             grid = costs[:, None] + np.abs(steps) * w
-            reach = np.floor((radius + tol - costs) / w) if w > tol else np.zeros_like(costs)
             rows, picked = np.nonzero((np.abs(steps) <= reach[:, None]) & (grid <= radius + tol))
             n = steps[picked]
             coords, costs, values = coords[rows], grid[rows, picked], values[rows]
@@ -373,17 +373,8 @@ def group_from_json(desc: dict) -> CoefficientGroup:
         if ambient_kind is None:
             # infer: vector-valued generators live in a multivector group
             ambient_kind = "multivector" if gens and isinstance(gens[0], (list, tuple)) else "real"
-        if ambient_kind == "multivector":
-            ambient = MultivectorGroup(desc["ambient_dim"], desc["grade"])
-        elif ambient_kind == "integer":
-            ambient = IntegerGroup()
-        else:
-            ambient = RealGroup()
-        return SubgroupWithNorm(
-            ambient,
-            gens,
-            desc.get("generator_norms"),
-        )
+        ambient = group_from_json(dict(desc, kind=ambient_kind))
+        return SubgroupWithNorm(ambient, gens, desc.get("generator_norms"))
     raise ValueError(f"unknown group kind {kind!r}")
 
 

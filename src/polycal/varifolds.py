@@ -27,6 +27,7 @@ from .complexes import (
     SubdivisionMap,
     build_complex,
     interior_faces,
+    json_integer,
     json_list,
     longest_edge,
     pushforward_complex,
@@ -302,11 +303,7 @@ def transport_varifold(V: PolyhedralVarifold, corr: SubdivisionMap) -> Polyhedra
 
 @dataclass
 class VarifoldPushforward:
-    """``new_ids`` as from ``pushforward_complex``; ``dropped`` holds the ids
-    of V's simplices whose image collapsed."""
-
     varifold: PolyhedralVarifold
-    complex: EmbeddedComplex
     new_ids: list
     dropped: np.ndarray
     gamma: BoundaryRegion | None = None
@@ -315,7 +312,10 @@ class VarifoldPushforward:
 def pushforward_varifold(
     V: PolyhedralVarifold, images, frozen=(), gamma: BoundaryRegion | None = None, tol=None
 ) -> VarifoldPushforward:
-    """Relocate vertices; weights ride along, collapsed simplices are dropped."""
+    """Relocate vertices; weights ride along, collapsed simplices are dropped.
+
+    The result holds the dropped ids and the ``new_ids`` of ``pushforward_complex``.
+    """
     image, new_ids, new_gamma = pushforward_complex(
         V.complex, images, frozen=frozen, gamma=gamma, tol=tol
     )
@@ -323,7 +323,6 @@ def pushforward_varifold(
     kept = moved >= 0
     return VarifoldPushforward(
         varifold=PolyhedralVarifold(image, V.dimension, moved[kept], V.weights[kept]),
-        complex=image,
         new_ids=new_ids,
         dropped=V.ids[~kept],
         gamma=new_gamma,
@@ -339,11 +338,11 @@ def varifold_to_json(V: PolyhedralVarifold) -> dict:
 
 
 def varifold_from_json(K: EmbeddedComplex, doc: dict) -> PolyhedralVarifold:
-    m = int(doc["dimension"])
+    m = json_integer(doc, "dimension")
     pairs = []
     for entry in json_list(doc, "weights", dict):
         simplex, c = entry["simplex"], entry["c"]
-        if not isinstance(simplex, (list, int)) or not isinstance(c, (int, float)):
+        if bool in (type(simplex), type(c)) or not (isinstance(simplex, (list, int)) and isinstance(c, (int, float))):
             raise ValueError(f"malformed weight entry {entry!r}")
         pairs.append((simplex, c))
     return make_varifold(K, m, pairs)
@@ -401,31 +400,26 @@ def deform_experiment(V, gamma, trials: int, magnitude: float, seed: int = 0, to
     base_mass = V.mass()
     n = K.ambient_dim
     ratios = []
-    rejected = 0
     for _ in range(int(trials)):
         offsets = rng.standard_normal((len(movable), n))
         norms = np.linalg.norm(offsets, axis=1, keepdims=True)
         radii = magnitude * rng.uniform(size=(len(movable), 1)) ** (1.0 / n)
         offsets = np.where(norms > 0, offsets / np.maximum(norms, 1e-300) * radii, 0.0)
         images = K.vertices.copy()
-        for row, v in enumerate(movable):
-            images[v] = images[v] + offsets[row]
+        images[movable] += offsets
         try:
             res = pushforward_varifold(V, images, gamma=gamma)
-        except ValueError:
-            rejected += 1
+        except ValueError:  # a vertex collision
             continue
-        if any((ids < 0).any() for ids in res.new_ids):
-            rejected += 1
-            continue
-        ratios.append(res.varifold.mass() / base_mass)
+        if all((ids >= 0).all() for ids in res.new_ids):
+            ratios.append(res.varifold.mass() / base_mass)
     if not ratios:
         raise ValueError("all deformation trials were rejected; geometry too tight")
     ratios = np.asarray(ratios)
     return DeformReport(
         trials=int(trials),
         accepted=len(ratios),
-        rejected=rejected,
+        rejected=int(trials) - len(ratios),
         min_ratio=float(ratios.min()),
         max_ratio=float(ratios.max()),
         mean_ratio=float(ratios.mean()),

@@ -1,4 +1,4 @@
-"""Property tests: how the input is written must not change the answer.
+"""Property tests: how the input is written, placed or scaled must not change the answer.
 
 Relabelling the vertices, permuting the vertex order inside every input tuple
 and splitting a weight into duplicate entries each rewrite a catalog bundle's
@@ -8,6 +8,12 @@ chain and the stationarity ``max_residual`` must come out the same, to 1e-12
 are reordered the associated chain is also read back from its JSON, with each
 coefficient negated for an odd permutation.  This exercises the batched
 parity, row lookup and duplicate merge of the parsers.
+
+A rigid motion, a uniform scaling and the isometric embedding of R^N into
+R^(N+1) move the vertices instead.  Mass scales with them, so the
+certificate's conclusion and Phi/M must come out the same, Phi/M to 1e-12
+relative: every tolerance of the certificate is measured against a natural
+scale of the input.
 """
 
 from __future__ import annotations
@@ -114,3 +120,43 @@ def test_splitting_weights_into_duplicates_changes_nothing(case, rnd):
         entries += [dict(entry, c=entry["c"] / parts) for _ in range(parts)]
     rnd.shuffle(entries)
     assert_same_answer(case, cdoc, dict(vdoc, weights=entries))
+
+
+def verdict(cdoc, vdoc):
+    K, gamma = complex_from_json(cdoc)
+    V = varifold_from_json(K, vdoc)
+    A = chainify(V)
+    return minimality_certificate(V, gamma).conclusion, phi(A) / mass(A)
+
+
+def assert_same_verdict(case, vertices):
+    cdoc, vdoc = bundle(*case)
+    want = verdict(cdoc, vdoc)
+    got = verdict(dict(cdoc, ambient_dim=vertices.shape[1], vertices=vertices.tolist()), vdoc)
+    assert got[0] == want[0]
+    assert got[1] == pytest.approx(want[1], rel=1e-12, abs=0)
+
+
+@SETTINGS
+@given(case=st.sampled_from(BUNDLES), seed=st.integers(0, 2**32 - 1))
+def test_rigid_motion_changes_nothing(case, seed):
+    rng = np.random.default_rng(seed)
+    vertices = np.array(bundle(*case)[0]["vertices"])
+    n = vertices.shape[1]
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    assert_same_verdict(case, vertices @ q.T + rng.uniform(-10, 10, n))
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e6])
+@pytest.mark.parametrize("case", BUNDLES, ids=[f"{label}-r{k}" for label, k in BUNDLES])
+def test_uniform_scaling_changes_nothing(case, scale):
+    assert_same_verdict(case, scale * np.array(bundle(*case)[0]["vertices"]))
+
+
+@pytest.mark.parametrize("case", BUNDLES, ids=[f"{label}-r{k}" for label, k in BUNDLES])
+def test_embedding_in_one_more_dimension_changes_nothing(case):
+    vertices = np.array(bundle(*case)[0]["vertices"])
+    assert_same_verdict(case, np.hstack([vertices, np.zeros((len(vertices), 1))]))
