@@ -190,7 +190,7 @@ def pushforward_chain(
     image, new_ids, new_gamma = pushforward_complex(
         A.complex, images, frozen=frozen, gamma=gamma, tol=tol
     )
-    moved = new_ids[A.dimension][A.ids]
+    moved = new_ids[A.dimension][A.ids] if A.ids.size else A.ids  # the complex may lack the dimension
     kept = moved >= 0
     return PushforwardResult(
         chain=Chain(image, A.dimension, A.group, moved[kept], A.coeffs[kept]),

@@ -319,7 +319,7 @@ def pushforward_varifold(
     image, new_ids, new_gamma = pushforward_complex(
         V.complex, images, frozen=frozen, gamma=gamma, tol=tol
     )
-    moved = new_ids[V.dimension][V.ids]
+    moved = new_ids[V.dimension][V.ids] if V.ids.size else V.ids  # the complex may lack the dimension
     kept = moved >= 0
     return VarifoldPushforward(
         varifold=PolyhedralVarifold(image, V.dimension, moved[kept], V.weights[kept]),

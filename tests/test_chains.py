@@ -222,6 +222,8 @@ def test_pushforward_identity():
     res = pushforward_chain(A, K.vertices)
     assert res.dropped.size == 0
     assert mass(res.chain) == pytest.approx(mass(A))
+    # a zero chain may have a dimension the complex lacks
+    assert pushforward_chain(Chain(K, 3, REALS), K.vertices).chain.is_zero()
 
 
 def test_pushforward_scaling_matches_recomputed_volumes():

@@ -418,6 +418,8 @@ def test_pushforward_identity_keeps_mass():
     K, V, gamma = generate_example("y_line")
     res = pushforward_varifold(V, K.vertices, gamma=gamma)
     assert res.varifold.mass() == pytest.approx(3.0)
+    empty = PolyhedralVarifold(K, 2)  # a dimension the complex lacks
+    assert pushforward_varifold(empty, K.vertices).varifold.ids.size == 0
 
 
 def test_moving_steiner_point_increases_mass():
