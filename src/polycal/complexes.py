@@ -271,8 +271,8 @@ def vertex_rows(tuples, k: int):
     if wrong is not None:
         raise ValueError(f"{tuple(wrong)} is not a {k - 1}-simplex")
     # one pass over the types passes the common case, JSON integers only
-    ids = itertools.chain.from_iterable
-    if set(map(type, ids(tuples))) - {int} and not all(map(integral, ids(tuples))):
+    entries = itertools.chain.from_iterable
+    if set(map(type, entries(tuples))) - {int} and not all(map(integral, entries(tuples))):
         raise ValueError("vertex ids must be integers")
     try:
         rows = np.array(tuples, dtype=np.intp).reshape(len(tuples), k)
@@ -441,8 +441,9 @@ def validate_geometry(K: EmbeddedComplex, tol: float = 1e-7) -> GeometryReport:
             continue
         ta, tb = tuples[a], tuples[b]
         checked += 1
-        weight = _pair_overlap_weight(points[a], points[b], {k for k, v in enumerate(ta) if v in tb},
-                                      {k for k, v in enumerate(tb) if v in ta})
+        shared_a = {k for k, v in enumerate(ta) if v in tb}
+        shared_b = {k for k, v in enumerate(tb) if v in ta}
+        weight = _pair_overlap_weight(points[a], points[b], shared_a, shared_b)
         if weight is not None and weight > tol:
             violations.append((ta, tb, weight))
     return GeometryReport(valid=not violations, violations=violations, pairs_checked=checked)
@@ -574,10 +575,8 @@ def pushforward_complex(K: EmbeddedComplex, images, frozen=(), gamma=None, tol=N
         if pairs:
             u, v = sorted(pairs)[0]
             raise ValueError(f"vertex collision: images of {u} and {v} coincide")
-    new_ids = []
-    for rows in K.simplex_rows:
-        flat = degenerate(coords[rows], tol)
-        new_ids.append(np.where(flat, -1, np.cumsum(~flat) - 1))
+    flats = [degenerate(coords[rows], tol) for rows in K.simplex_rows]
+    new_ids = [np.where(flat, -1, np.cumsum(~flat) - 1) for flat in flats]
     image = EmbeddedComplex(coords, [rows[ids >= 0] for rows, ids in zip(K.simplex_rows, new_ids)])
     image_gamma = None
     if gamma is not None:

@@ -342,7 +342,8 @@ def varifold_from_json(K: EmbeddedComplex, doc: dict) -> PolyhedralVarifold:
     pairs = []
     for entry in json_list(doc, "weights", dict):
         simplex, c = entry["simplex"], entry["c"]
-        if bool in (type(simplex), type(c)) or not (isinstance(simplex, (list, int)) and isinstance(c, (int, float))):
+        well_typed = isinstance(simplex, (list, int)) and isinstance(c, (int, float))
+        if not well_typed or bool in (type(simplex), type(c)):
             raise ValueError(f"malformed weight entry {entry!r}")
         pairs.append((simplex, c))
     return make_varifold(K, m, pairs)
