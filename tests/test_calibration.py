@@ -205,6 +205,7 @@ def test_flat_bound_reports_solver_error(monkeypatch):
     assert (rep.solver_status, rep.passed, rep.notes) == ("error", False, "no convergence")
     assert (rep.lower_bound, rep.gap, rep.iterations) == (None, None, 0)
     assert rep.to_json()["lower_bound"] is None
+    assert rep.to_json()["flat_value"] is None  # JSON null, never NaN
 
 
 def test_flat_bound_zero_chain():

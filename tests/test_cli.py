@@ -195,10 +195,13 @@ def test_out_file_written(tmp_path, capsys):
 
 
 def test_solver_config_file(tmp_path, capsys):
-    K, V, gamma = generate_example("y_line")
-    b = boundary(chainify(V))
-    cpath = write(tmp_path, "complex.json", K.to_json(gamma))
-    bpath = write(tmp_path, "boundary.json", chain_to_json(b))
+    # a real-coefficient path across a triangle: no calibration dual start, so
+    # ten iterations stay well short of the 200 the default config needs
+    cpath = write(tmp_path, "complex.json", {"vertices": [[0, 0], [1, 0], [0, 1]],
+                                             "simplices": [[0, 1, 2]]})
+    bpath = write(tmp_path, "boundary.json", {
+        "dimension": 0, "group": {"kind": "real"},
+        "terms": [{"simplex": [0], "coeff": -1.0}, {"simplex": [2], "coeff": 1.0}]})
     spath = write(tmp_path, "solver.json", {"max_iter": 10, "check_every": 5})
     code, result = run_cli(
         capsys, "minimize", "--in", cpath, "--in", bpath, "--solver-config", spath
@@ -286,6 +289,43 @@ def test_malformed_chain_term_is_exit_two(tmp_path, capsys, term):
                    {"dimension": 1, "group": {"kind": "real"}, "terms": [term]})
     assert main(["flatnorm", "--in", cpath, "--in", chpath]) == 2
     assert "polycal: error" in capsys.readouterr().err
+
+
+SUBGROUP_23 = {"kind": "subgroup", "generators": [2.0, 3.0]}
+# integer-valued coefficients the parser must refuse: a bool is not an integer,
+# and a 310-digit integer is too large, not a float overflow
+MALFORMED_INTEGER_COEFFS = {
+    "huge": ({"kind": "integer"}, 10**309),
+    "huge-negative": ({"kind": "integer"}, -(10**309)),
+    "bool": ({"kind": "integer"}, True),
+    "huge-subgroup": (SUBGROUP_23, [10**309, 0]),
+    "bool-subgroup": (SUBGROUP_23, [0, False]),
+}
+
+
+@pytest.mark.parametrize(
+    "group, coeff", MALFORMED_INTEGER_COEFFS.values(), ids=MALFORMED_INTEGER_COEFFS.keys()
+)
+def test_malformed_integer_coefficient_is_exit_two(tmp_path, capsys, group, coeff):
+    cpath = write(tmp_path, "complex.json", {"vertices": TRIANGLE_VERTICES, "simplices": SEGMENTS})
+    chpath = write(tmp_path, "chain.json", {"dimension": 1, "group": group,
+                                            "terms": [{"simplex": [0, 1], "coeff": coeff}]})
+    assert main(["flatnorm", "--in", cpath, "--in", chpath]) == 2
+    assert "polycal: error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "group, coeff", [({"kind": "integer"}, 1), (SUBGROUP_23, [1, 0])], ids=["integer", "subgroup"]
+)
+def test_flatnorm_on_a_discrete_group_is_exit_two(tmp_path, capsys, group, coeff):
+    # the flat-norm solver takes R and Lambda_m R^N only, as minimize does
+    cpath = write(tmp_path, "complex.json", {"vertices": TRIANGLE_VERTICES, "simplices": SEGMENTS})
+    chpath = write(tmp_path, "chain.json", {"dimension": 1, "group": group,
+                                            "terms": [{"simplex": [0, 1], "coeff": coeff}]})
+    assert main(["flatnorm", "--in", cpath, "--in", chpath]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "supports coefficient groups R and Lambda_m R^N only" in err
 
 
 @pytest.mark.parametrize("dimension", [1.5, True, "1"])
