@@ -292,21 +292,28 @@ def test_malformed_chain_term_is_exit_two(tmp_path, capsys, term):
 
 
 SUBGROUP_23 = {"kind": "subgroup", "generators": [2.0, 3.0]}
-# integer-valued coefficients the parser must refuse: a bool is not an integer,
-# and a 310-digit integer is too large, not a float overflow
-MALFORMED_INTEGER_COEFFS = {
+LAMBDA_1_R2 = {"kind": "multivector", "ambient_dim": 2, "grade": 1}
+# coefficients the parser must refuse: a bool or a string is not a number, and
+# a 310-digit integer is too large (for Z) or beyond float range (for R)
+MALFORMED_COEFFS = {
     "huge": ({"kind": "integer"}, 10**309),
     "huge-negative": ({"kind": "integer"}, -(10**309)),
     "bool": ({"kind": "integer"}, True),
     "huge-subgroup": (SUBGROUP_23, [10**309, 0]),
     "bool-subgroup": (SUBGROUP_23, [0, False]),
+    "huge-real": ({"kind": "real"}, 10**309),
+    "bool-real": ({"kind": "real"}, True),
+    "string-real": ({"kind": "real"}, "1.5"),
+    "two-reals": ({"kind": "real"}, [1.0, 2.0]),
+    "huge-multivector": (LAMBDA_1_R2, [10**309, 0.0]),
+    "bool-multivector": (LAMBDA_1_R2, [1.0, True]),
 }
 
 
 @pytest.mark.parametrize(
-    "group, coeff", MALFORMED_INTEGER_COEFFS.values(), ids=MALFORMED_INTEGER_COEFFS.keys()
+    "group, coeff", MALFORMED_COEFFS.values(), ids=MALFORMED_COEFFS.keys()
 )
-def test_malformed_integer_coefficient_is_exit_two(tmp_path, capsys, group, coeff):
+def test_malformed_coefficient_is_exit_two(tmp_path, capsys, group, coeff):
     cpath = write(tmp_path, "complex.json", {"vertices": TRIANGLE_VERTICES, "simplices": SEGMENTS})
     chpath = write(tmp_path, "chain.json", {"dimension": 1, "group": group,
                                             "terms": [{"simplex": [0, 1], "coeff": coeff}]})
