@@ -213,7 +213,7 @@ def check_stokes(K: EmbeddedComplex, m: int, trials: int = 100, tol: float = 1e-
 @dataclass
 class FlatBoundReport:
     phi: float | None
-    flat_value: float
+    flat_value: float | None
     mass: float
     passed: bool
     solver_status: str
@@ -242,7 +242,8 @@ def phi_flat_bound(A: Chain, solver_config: SolverConfig | None = None, tol: flo
     F_K is the complex-restricted flat norm, an upper bound for the true flat
     norm since the minimization runs over a restricted competitor class.  Phi
     is reported only when the coefficient grade matches the chain dimension;
-    solver trouble is reported, not raised.
+    solver trouble is reported, not raised, with ``flat_value`` None, but a
+    group the solver does not take raises ValueError.
     """
     total_mass = mass(A)
     value = None
@@ -250,10 +251,12 @@ def phi_flat_bound(A: Chain, solver_config: SolverConfig | None = None, tol: flo
         value = phi(A)
     try:
         res = flat_norm_solve(A, config=solver_config)
+    except ValueError:
+        raise  # an input the solver does not take, such as a discrete group
     except Exception as exc:  # solver failure is a report, not an error
         return FlatBoundReport(
             phi=value,
-            flat_value=float("nan"),
+            flat_value=None,
             mass=total_mass,
             passed=False,
             solver_status="error",

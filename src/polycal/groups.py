@@ -22,6 +22,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
+from .complexes import integral
+
+
+def _real_row(raw) -> np.ndarray:
+    """Validated float row of real numbers; a bool or a string is not one."""
+    items = np.ravel(np.asarray(raw, dtype=object)).tolist()
+    for x in items:
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            raise ValueError(f"{x!r} is not a real coefficient")
+    try:
+        return np.array(items, dtype=float)
+    except OverflowError:
+        raise ValueError("real coefficient beyond float range") from None
 
 
 def _int_row(raw, width: int) -> np.ndarray:
@@ -33,7 +46,7 @@ def _int_row(raw, width: int) -> np.ndarray:
     if len(items) != width:
         raise ValueError(f"expected {width} integer entries, got {len(items)}")
     for x in items:
-        if not (isinstance(x, numbers.Real) and float(x).is_integer()):
+        if not integral(x):  # no float() of an int, which a huge one overflows
             raise ValueError(f"{x!r} is not an integer coefficient")
         if abs(x) >= 2**31:
             raise ValueError(f"integer coefficient {x} is not below 2**31 in size")
@@ -91,7 +104,10 @@ class RealGroup(CoefficientGroup):
         return np.abs(rows[:, 0])
 
     def coerce(self, raw):
-        return np.array([float(np.squeeze(raw))])
+        row = _real_row(raw)
+        if row.size != 1:
+            raise ValueError(f"expected one real entry, got {row.size}")
+        return row
 
     def coeff_to_json(self, g):
         return float(g[0])
@@ -136,7 +152,7 @@ class MultivectorGroup(CoefficientGroup):
         return np.linalg.norm(rows, axis=1)
 
     def coerce(self, raw):
-        row = np.array(raw, dtype=float).reshape(-1)
+        row = _real_row(raw)
         if row.size != self.width:
             raise ValueError(
                 f"coefficient vector has length {row.size}, expected "

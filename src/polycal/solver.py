@@ -14,9 +14,11 @@ There is one stopping rule.  At every check the dual iterate Y is rescaled
 so that max_j ||(M^T Y)_j|| / w_j = 1, which makes -<Y, c> a weak-duality
 lower bound; a solve is converged only when M x = c holds within
 ``primal_tol`` and the objective is within ``obj_tol`` (relative) of the best
-bound so far.  The flat norm is the case M = [I, -B], where M^T Y covers the
-dual constraints on both blocks.  Scalar coefficient groups reuse the same
-loop with 1-dimensional blocks, where shrinkage degenerates to
+bound so far.  Minimum mass over Lambda_m R^N of the chains' grade starts Y
+at the calibration's dual instead of zero; the rescaling keeps every bound
+valid whatever the start.  The flat norm is the case M = [I, -B], where
+M^T Y covers the dual constraints on both blocks.  Scalar coefficient groups
+reuse the same loop with 1-dimensional blocks, where shrinkage degenerates to
 soft-thresholding.  Discrete groups are out of scope here; minimality over a
 subgroup is inferred by retagging, never solved directly.
 """
@@ -148,17 +150,30 @@ def _least_squares(M, rhs):
     return np.column_stack([lsmr(M, col, atol=1e-13, btol=1e-13, maxiter=cap)[0] for col in rhs.T])
 
 
-def _solve_blockwise(M, weights, target, cfg: SolverConfig, warm=None):
+def _calibration_dual(K: EmbeddedComplex, m: int):
+    """-Y for the least-squares Y of M^T Y = vol * eta over the m-simplices.
+
+    The calibration vol * eta (eta the unit m-vector of each simplex) is a
+    coboundary, so this is an optimal dual whenever the target bounds a
+    calibrated chain; for any other target it is only a starting point.
+    """
+    return -_least_squares(K.boundary_matrix(m).T, K.volumes(m)[:, None] * K.unit_blades(m))
+
+
+def _solve_blockwise(M, weights, target, cfg: SolverConfig, warm=None, dual=None):
     """Relaxed primal-dual iteration for min sum w_j ||x_j|| s.t. M x = c.
 
     Converged means primal feasible within ``primal_tol`` and within
     ``obj_tol`` (relative) of the best weak-duality bound seen so far.
+    ``warm`` and ``dual`` start X and Y (zero when omitted).  A start moves
+    only where the iteration begins: every bound is rescaled from the
+    current Y, so a poor dual start lowers the bound and never inflates it.
     """
     M = sparse.csr_matrix(M)
     MT = sparse.csr_matrix(M.T)
     weights = np.asarray(weights, dtype=float)
     X = np.zeros((M.shape[1], target.shape[1])) if warm is None else warm.copy()
-    Y = np.zeros_like(target)
+    Y = np.zeros_like(target) if dual is None else dual.copy()
     tau = _inverse_abs_sums(M, 0)[:, None]
     sigma = _inverse_abs_sums(M, 1)[:, None]
     thresholds = tau[:, 0] * weights
@@ -207,7 +222,8 @@ def min_mass_fixed_boundary(problem: MinMassProblem) -> SolveResult:
             status="infeasible",
             config=cfg,
         )
-    X, info = _solve_blockwise(M, weights, target, cfg, warm=warm)
+    dual = _calibration_dual(K, m) if group == MultivectorGroup(K.ambient_dim, m) else None
+    X, info = _solve_blockwise(M, weights, target, cfg, warm=warm, dual=dual)
     # the iterate is feasible only within primal_tol: report its projection onto M X = c
     X += _least_squares(M, target - M @ X)
     chain = _canonical(K, m, group, np.arange(X.shape[0]), X)

@@ -13,7 +13,13 @@ A rigid motion, a uniform scaling and the isometric embedding of R^N into
 R^(N+1) move the vertices instead.  Mass scales with them, so the
 certificate's conclusion and Phi/M must come out the same, Phi/M to 1e-12
 relative: every tolerance of the certificate is measured against a natural
-scale of the input.
+scale of the input.  Scaling every varifold weight by the same factor must
+not change them either.
+
+The min-mass solver starts from the calibration's dual.  Whatever that start,
+its weak-duality bound for the boundary of a chain A may not exceed M(A),
+which is the mass of a feasible point: not for the start itself, not for the
+start with half of its rows negated, and not at the end of the solve.
 """
 
 from __future__ import annotations
@@ -25,8 +31,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polycal.calibration import minimality_certificate, phi
-from polycal.chains import chain_from_json, chain_to_json, mass
-from polycal.complexes import complex_from_json
+from polycal.chains import boundary, chain_from_json, chain_to_json, mass, transport_chain
+from polycal.complexes import complex_from_json, subdivide
+from polycal.solver import (
+    MinMassProblem,
+    SolverConfig,
+    _calibration_dual,
+    _dual_bound,
+    min_mass_fixed_boundary,
+)
 from polycal.varifolds import (
     CATALOG,
     chainify,
@@ -35,6 +48,7 @@ from polycal.varifolds import (
     varifold_from_json,
     varifold_to_json,
 )
+from test_acceptance import delaunay_complex, random_lambda_chain
 
 # label: (catalog name, parameters); the L shape is not stationary
 EXAMPLES = {name: (name, {}) for name in CATALOG}
@@ -160,3 +174,45 @@ def test_uniform_scaling_changes_nothing(case, scale):
 def test_embedding_in_one_more_dimension_changes_nothing(case):
     vertices = np.array(bundle(*case)[0]["vertices"])
     assert_same_verdict(case, np.hstack([vertices, np.zeros((len(vertices), 1))]))
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e6])
+@pytest.mark.parametrize("case", BUNDLES, ids=[f"{label}-r{k}" for label, k in BUNDLES])
+def test_scaling_the_weights_changes_nothing(case, scale):
+    cdoc, vdoc = bundle(*case)
+    scaled = dict(vdoc, weights=[dict(e, c=scale * e["c"]) for e in vdoc["weights"]])
+    want, got = verdict(cdoc, vdoc), verdict(cdoc, scaled)
+    assert got[0] == want[0]
+    assert got[1] == pytest.approx(want[1], rel=1e-12, abs=0)
+
+
+@functools.lru_cache(maxsize=None)
+def refined_chain(label):
+    """The r0 chain of a bundle, moved onto one barycentric refinement."""
+    name, params = EXAMPLES[label]
+    K, V, gamma = generate_example(name, **params)
+    refined, corr = subdivide(K, "barycentric")
+    return transport_chain(chainify(V), corr)
+
+
+@SETTINGS
+@given(case=st.sampled_from(["delaunay", *EXAMPLES]), seed=st.integers(0, 2**32 - 1))
+def test_the_dual_start_never_lifts_the_bound_above_the_mass(case, seed):
+    rng = np.random.default_rng(seed)
+    if case == "delaunay":
+        A = random_lambda_chain(rng, delaunay_complex(rng, 14, 2), 1)
+    else:
+        A = refined_chain(case)
+    K, m, dA = A.complex, A.dimension, boundary(A)
+    cfg = SolverConfig()
+    target = np.zeros((K.n_simplices(m - 1), A.group.width))
+    target[dA.ids] = dA.coeffs
+    MT = K.boundary_matrix(m).T.tocsr()
+    start = _calibration_dual(K, m)
+    flipped = start.copy()
+    flipped[rng.permutation(len(start))[: len(start) // 2]] *= -1
+    for Y in (start, flipped):
+        assert _dual_bound(MT, K.volumes(m), target, Y) <= mass(A) + cfg.primal_tol
+    res = min_mass_fixed_boundary(MinMassProblem(K, m, dA, A.group, cfg))
+    assert res.status == "converged"
+    assert res.lower_bound <= mass(A) + cfg.primal_tol

@@ -5,6 +5,7 @@ import pytest
 from scipy import sparse
 from scipy.optimize import linprog
 
+from polycal.calibration import minimality_certificate
 from polycal.chains import Chain, boundary, make_chain, mass, transport_chain
 from polycal.complexes import build_complex, subdivide
 from polycal.groups import IntegerGroup, MultivectorGroup, RealGroup
@@ -143,6 +144,8 @@ def test_catalog_cross_check_stops_on_its_own_gap(name):
     assert res.lower_bound <= mass(A2) + res.config.primal_tol
     assert res.gap == res.objective - res.lower_bound
     assert within_gap(res.objective, res.lower_bound, res.config)
+    # the calibration dual start is optimal: the first gap check stops the solve
+    assert res.iterations == SolverConfig().check_every
 
 
 def test_min_mass_reports_a_feasible_objective():
@@ -157,6 +160,17 @@ def test_tetrahedral_cone_cross_check_iterations():
     _, res = catalog_cross_check("tetrahedral_cone")
     assert res.status == "converged"
     assert res.iterations <= 2_500
+
+
+def test_certify_with_solver_at_r2_converges_at_the_first_check():
+    # a cold dual start needs 95,400 iterations here; the cap turns a lost
+    # dual start into a fast iteration-cap failure instead of a long solve
+    K, V, gamma = generate_example("tetrahedral_cone", refinement=2)
+    cfg = SolverConfig(max_iter=1_000)
+    cert = minimality_certificate(V, gamma, with_solver=True, solver_config=cfg)
+    info = cert.provenance["solver"]
+    assert (info["status"], info["iterations"]) == ("converged", cfg.check_every)
+    assert cert.conclusion == "calibrated-minimizer"
 
 
 def test_solver_config_ignores_unknown_keys():
