@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import polycal
 from polycal.chains import chain_from_json, chain_to_json, boundary
 from polycal.cli import main
 from polycal.complexes import BoundaryRegion, build_complex, complex_from_json
@@ -475,3 +479,50 @@ def test_nonfinite_chain_coefficient_is_exit_two(tmp_path, capsys, group, bad):
         "dimension": 1, "group": group, "terms": [{"simplex": [0, 1], "coeff": bad}]})
     assert main(["flatnorm", "--in", cpath, "--in", chpath]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_a_dict_vertex_coordinate_is_exit_two(tmp_path, capsys):
+    code, bundle = run_cli(capsys, "demo", "tetrahedral_cone")
+    bundle["complex"]["vertices"][0][0] = {}
+    bpath = write(tmp_path, "bundle.json", bundle)
+    assert main(["certify", "--in", bpath]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def _assert_no_output_but_an_error(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-finite" in captured.err
+
+
+# numpy warns of the overflow on its way; what is under test is the exit code
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["certify", "stationarity"])
+def test_an_overflowing_weight_is_exit_two(tmp_path, capsys, command):
+    code, bundle = run_cli(capsys, "demo", "tetrahedral_cone")
+    bundle["varifold"]["weights"][0]["c"] = 1e308
+    bpath = write(tmp_path, "bundle.json", bundle)
+    assert main([command, "--in", bpath]) == 2
+    _assert_no_output_but_an_error(capsys)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("coordinate", [1, 2])
+def test_an_overflowing_vertex_coordinate_yields_no_nan(tmp_path, capsys, coordinate):
+    code, bundle = run_cli(capsys, "demo", "tetrahedral_cone")
+    bundle["complex"]["vertices"][0][coordinate] = 1e308
+    bpath = write(tmp_path, "bundle.json", bundle)
+    out = tmp_path / "chain.json"
+    assert main(["chainify", "--in", bpath, "--out", str(out)]) == 2
+    assert not out.exists()
+    _assert_no_output_but_an_error(capsys)
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy is imported by the functions that use it: sparse matrices, lsmr,
+    # linprog and the k-d tree are off the certify path
+    src = os.path.dirname(os.path.dirname(os.path.abspath(polycal.__file__)))
+    script = "import sys, polycal.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "[]"
