@@ -15,6 +15,7 @@ replay them.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +33,7 @@ from .complexes import BoundaryRegion, EmbeddedComplex, digest, interior_faces, 
 from .exterior_algebra import rowdot
 from .groups import MultivectorGroup, group_to_json
 from .solver import MinMassProblem, SolverConfig, min_mass_fixed_boundary, flat_norm_solve
-from .varifolds import PolyhedralVarifold, stationarity, varifold_to_json
+from .varifolds import PolyhedralVarifold, stationarity, varifold_text
 
 COMPETITOR_CLASS = (
     "all chains over Lambda_m R^N on the ambient space with equal boundary"
@@ -159,7 +160,7 @@ def certify_calibrated(A: Chain, tol: float = 1e-9) -> Certificate:
     """
     checks, value, total_mass = _calibration_checks(A, tol)
     ok = all(c.passed for c in checks)
-    subject = "chain:" + digest(chain_to_json(A))
+    subject = "chain:" + digest(json.dumps(chain_to_json(A), sort_keys=True))
     return Certificate(
         subject=subject,
         checks=checks,
@@ -358,7 +359,7 @@ def minimality_certificate(
         conclusion = "not-calibrated"
     else:
         conclusion = "inconclusive"
-    subject = "varifold:" + digest(varifold_to_json(V))
+    subject = "varifold:" + digest(varifold_text(V))
     offending = [
         {"face": list(K.simplex_tuple(V.dimension - 1, sid)), "coefficient_norm": norm}
         for sid, norm in zip(dA.ids[interior].tolist(), interior_norms.tolist())

@@ -240,7 +240,10 @@ def _parser():
 
 
 def _emit(payload, out_path):
-    text = json.dumps(payload, indent=2, default=float)
+    try:
+        text = json.dumps(payload, indent=2, default=float, allow_nan=False)
+    except ValueError:
+        raise ValueError("the result holds a non-finite number: an input overflows double precision") from None
     if out_path:
         with open(out_path, "w") as handle:
             handle.write(text + "\n")
@@ -253,14 +256,14 @@ def main(argv=None) -> int:
     try:
         kinds = _classify(_load_documents(args.inputs))
         code, payload = _HANDLERS[args.command](args, kinds)
+        provenance = payload.setdefault("provenance", {})
+        provenance.setdefault("command", args.command)
+        provenance.setdefault("seed", args.seed)
+        provenance.setdefault("version", __version__)
+        _emit(payload, args.out)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"polycal: error: {exc}", file=sys.stderr)
         return 2
-    provenance = payload.setdefault("provenance", {})
-    provenance.setdefault("command", args.command)
-    provenance.setdefault("seed", args.seed)
-    provenance.setdefault("version", __version__)
-    _emit(payload, args.out)
     return code
 
 

@@ -12,11 +12,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from . import config
 from .exterior_algebra import (
@@ -69,15 +69,45 @@ def longest_edge(points) -> np.ndarray:
     return np.sqrt(np.max(np.sum(edges * edges, axis=-1), axis=-1, initial=0.0))
 
 
-def degenerate(points, tol=None) -> np.ndarray:
-    """Which of the stacked (..., m+1, N) simplices are flat at their own scale.
+def flat(volumes, edges, m, tol=None) -> np.ndarray:
+    """Which m-simplices of the given volumes and longest edges are flat at
+    their own scale: volume <= tol * longest_edge^m.
 
-    A simplex is degenerate when volume <= tol * longest_edge^m, so the test
-    does not change under uniform scaling; vertices (m = 0) never are.
+    The test does not change under uniform scaling; vertices (m = 0) never
+    are flat.
     """
+    return volumes <= config.zero_tol(tol) * edges ** m
+
+
+def degenerate(points, tol=None) -> np.ndarray:
+    """Which of the stacked (..., m+1, N) simplices are ``flat``."""
     points = np.asarray(points, dtype=float)
-    m = points.shape[-2] - 1
-    return volume_of_points(points) <= config.zero_tol(tol) * longest_edge(points) ** m
+    return flat(volume_of_points(points), longest_edge(points), points.shape[-2] - 1, tol)
+
+
+def json_floats(values) -> np.ndarray:
+    """The ``json.dumps`` text of each float of ``values``, in an object array
+    of the same shape.
+
+    Each distinct bit pattern is formatted once.  The key is the bits, not
+    the value: -0.0 and 0.0 compare equal but are written differently.
+    """
+    values = np.ascontiguousarray(values, dtype=float)
+    bits, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
+    floats = bits.view(np.float64).tolist()
+    texts = np.array([repr(x) if math.isfinite(x) else json.dumps(x) for x in floats], dtype=object)
+    return texts[inverse].reshape(values.shape)
+
+
+def json_rows(template: str, table) -> str:
+    """Each row of the 2-D ``table`` written by ``template``, one ``%`` field
+    per column, joined by ", " as ``json.dumps`` joins list items."""
+    return ", ".join([template] * len(table)) % tuple(np.asarray(table).ravel().tolist())
+
+
+def json_list_template(field: str, k: int) -> str:
+    """The ``%`` template of a JSON list of k items written by ``field``."""
+    return "[" + ", ".join([field] * k) + "]"
 
 
 class EmbeddedComplex:
@@ -124,6 +154,7 @@ class EmbeddedComplex:
         for rows in self.simplex_rows + self.faces[1:]:
             rows.setflags(write=False)
         self._volumes = [None] * len(self.simplex_rows)
+        self._longest_edges = [None] * len(self.simplex_rows)
         self._unit_blades = [None] * len(self.simplex_rows)
         self._boundary_matrices = {}
 
@@ -155,12 +186,22 @@ class EmbeddedComplex:
         return ids
 
     def volumes(self, d: int) -> np.ndarray:
-        """H^d measures of all d-simplices (cached)."""
+        """H^d measures of all d-simplices (cached, with their longest edges)."""
         if self._volumes[d] is None:
-            vols = volume_of_points(self.vertices[self.simplex_rows[d]])
-            vols.setflags(write=False)
-            self._volumes[d] = vols
+            points = self.vertices[self.simplex_rows[d]]
+            self._volumes[d], self._longest_edges[d] = volume_of_points(points), longest_edge(points)
+            for values in (self._volumes[d], self._longest_edges[d]):
+                values.setflags(write=False)
         return self._volumes[d]
+
+    def longest_edges(self, d: int) -> np.ndarray:
+        """Longest edge length of each d-simplex (cached with ``volumes``)."""
+        self.volumes(d)
+        return self._longest_edges[d]
+
+    def flat(self, d: int) -> np.ndarray:
+        """Which d-simplices are ``flat`` at the default tolerance."""
+        return flat(self.volumes(d), self.longest_edges(d), d)
 
     def volume(self, d: int, sid: int) -> float:
         return float(self.volumes(d)[sid])
@@ -171,13 +212,12 @@ class EmbeddedComplex:
         One row of C(N, d) coefficients per simplex; grade 0 is the scalar 1.
         """
         if self._unit_blades[d] is None:
-            points = self.vertices[self.simplex_rows[d]]
-            flat = np.flatnonzero(degenerate(points))
-            if flat.size:
+            flats = np.flatnonzero(self.flat(d))
+            if flats.size:
                 raise DegenerateSimplexError(
-                    f"simplex {(d, int(flat[0]))} is geometrically degenerate"
+                    f"simplex {(d, int(flats[0]))} is geometrically degenerate"
                 )
-            blades = blade_of_points(points)
+            blades = blade_of_points(self.vertices[self.simplex_rows[d]])
             blades = blades * (1.0 / np.linalg.norm(blades, axis=1))[:, None]
             blades.setflags(write=False)
             self._unit_blades[d] = blades
@@ -200,6 +240,8 @@ class EmbeddedComplex:
 
     def boundary_matrix(self, d: int):
         """Sparse incidence matrix (n_{d-1} x n_d) with entries (-1)^j."""
+        from scipy import sparse
+
         if d not in self._boundary_matrices:
             if not 1 <= d <= self.dim:
                 raise ValueError(f"no {d}-simplices to take a boundary of")
@@ -211,24 +253,34 @@ class EmbeddedComplex:
             )
         return self._boundary_matrices[d]
 
+    def _maximal_rows(self) -> list:
+        """The rows of the simplices with no coface, one array per dimension."""
+        return [self.simplex_rows[d][self._maximal_ids(d)] for d in range(self.dim + 1)]
+
     def to_json(self, gamma=None) -> dict:
-        rows = self.simplex_rows
         return {
             "ambient_dim": self.ambient_dim,
             "vertices": self.vertices.tolist(),
-            "simplices": [t for d in range(self.dim + 1) for t in rows[d][self._maximal_ids(d)].tolist()],
-            "gamma_faces": [] if gamma is None else rows[gamma.face_dim][sorted(gamma.face_ids)].tolist(),
+            "simplices": [t for rows in self._maximal_rows() for t in rows.tolist()],
+            "gamma_faces": [] if gamma is None else self.simplex_rows[gamma.face_dim][sorted(gamma.face_ids)].tolist(),
         }
 
+    def content_text(self) -> str:
+        """``json.dumps(doc, sort_keys=True)`` of ``to_json()`` less its
+        ``gamma_faces``, written from the arrays."""
+        simplices = ", ".join(json_rows(json_list_template("%d", rows.shape[1]), rows)
+                              for rows in self._maximal_rows() if len(rows))
+        vertices = json_rows(json_list_template("%s", self.ambient_dim), json_floats(self.vertices))
+        return f'{{"ambient_dim": {self.ambient_dim}, "simplices": [{simplices}], "vertices": [{vertices}]}}'
+
     def content_hash(self) -> str:
-        doc = self.to_json()
-        doc.pop("gamma_faces")
-        return digest(doc)
+        return digest(self.content_text())
 
 
-def digest(doc) -> str:
-    """sha256 of the sorted-key JSON text of ``doc``, cut to 16 hex characters."""
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
+def digest(text: str) -> str:
+    """sha256 of a canonical JSON text (``json.dumps(doc, sort_keys=True)``
+    or the same text written from arrays), cut to 16 hex characters."""
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -267,8 +319,8 @@ def integral(value) -> bool:
 
 def vertex_rows(tuples, k: int):
     """Sequences of k distinct vertex ids as (n, k) int rows: as given, and sorted."""
-    wrong = next((t for t in tuples if len(t) != k), None)
-    if wrong is not None:
+    if set(map(len, tuples)) - {k}:
+        wrong = next(t for t in tuples if len(t) != k)
         raise ValueError(f"{tuple(wrong)} is not a {k - 1}-simplex")
     # one pass over the types passes the common case, JSON integers only
     entries = itertools.chain.from_iterable
@@ -291,7 +343,10 @@ def build_complex(vertices, top_simplices, ambient_dim=None) -> EmbeddedComplex:
     Input simplices may mix dimensions.  Top-dimensional entries must be
     geometrically nondegenerate; exact duplicates in the input are rejected.
     """
-    vertices = np.array(vertices, dtype=float)
+    try:
+        vertices = np.array(vertices, dtype=float)
+    except TypeError:  # a JSON object among the coordinates
+        raise ValueError("vertex coordinates must be numbers") from None
     if vertices.ndim == 1:
         vertices = vertices.reshape(-1, 1)
     if ambient_dim is not None and vertices.shape[1] != ambient_dim:
@@ -327,16 +382,19 @@ def _closed_complex(vertices, tops) -> EmbeddedComplex:
     # the complex rejects non-finite vertices, which would trip the flatness test
     K = EmbeddedComplex(vertices, levels)
     for d in range(1, len(tops)):
-        flat = np.flatnonzero(degenerate(K.vertices[tops[d]]))
-        if flat.size:
-            raise ValueError(f"top simplex {tuple(tops[d][flat[0]].tolist())} is geometrically degenerate")
+        flats = K.flat(d) if len(tops[d]) else None
+        if flats is not None and flats.any():
+            # the first flat one in input order, as the input names it
+            flats = np.flatnonzero(flats[_find(K.simplex_rows[d], tops[d])[0]])
+            if flats.size:
+                raise ValueError(f"top simplex {tuple(tops[d][flats[0]].tolist())} is geometrically degenerate")
     return K
 
 
 def json_list(doc, key, item=object):
     """``doc[key]``, checked to be a JSON list whose entries are ``item``s."""
     value = doc[key]
-    if not isinstance(value, list) or not all(isinstance(x, item) for x in value):
+    if not isinstance(value, list) or not all(map(isinstance, value, itertools.repeat(item))):
         kind = "" if item is object else f" of {item.__name__}s"
         raise ValueError(f"{key!r} must be a list{kind}")
     return value
@@ -472,6 +530,8 @@ def _assemble_subdivision(K, new_vertices, children):
     ``children[d]`` is (parent ids, child rows): the d-simplices of the
     refinement inside each parent, as sorted vertex rows.
     """
+    from scipy import sparse
+
     refined = _closed_complex(new_vertices, [rows for _, rows in children])
     matrices = []
     for d, (parents, rows) in enumerate(children):

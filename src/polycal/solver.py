@@ -30,8 +30,6 @@ import numbers
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import lsmr
 
 from .chains import Chain, _canonical, boundary, chain_to_json, combine, mass
 from .complexes import EmbeddedComplex
@@ -146,6 +144,8 @@ def _dual_bound(MT, weights, target, Y) -> float:
 
 def _least_squares(M, rhs):
     """Least-squares solution X of M X = rhs, one lsmr solve per column."""
+    from scipy.sparse.linalg import lsmr
+
     cap = 8 * sum(M.shape)
     return np.column_stack([lsmr(M, col, atol=1e-13, btol=1e-13, maxiter=cap)[0] for col in rhs.T])
 
@@ -169,6 +169,8 @@ def _solve_blockwise(M, weights, target, cfg: SolverConfig, warm=None, dual=None
     only where the iteration begins: every bound is rescaled from the
     current Y, so a poor dual start lowers the bound and never inflates it.
     """
+    from scipy import sparse
+
     M = sparse.csr_matrix(M)
     MT = sparse.csr_matrix(M.T)
     weights = np.asarray(weights, dtype=float)
@@ -289,6 +291,8 @@ def flat_norm_solve(A: Chain, config: SolverConfig | None = None) -> FlatNormRes
             lower_bound=base_mass,  # A is the only feasible point
             used_zero_filling=True,
         )
+    from scipy import sparse
+
     n_m, n_q = K.n_simplices(m), K.n_simplices(q_dim)
     B = K.boundary_matrix(q_dim)
     M = sparse.hstack([sparse.identity(n_m, format="csr"), -B], format="csr")

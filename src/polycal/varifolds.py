@@ -27,8 +27,11 @@ from .complexes import (
     SubdivisionMap,
     build_complex,
     interior_faces,
+    json_floats,
     json_integer,
     json_list,
+    json_list_template,
+    json_rows,
     longest_edge,
     pushforward_complex,
     subdivide,
@@ -81,17 +84,22 @@ def make_varifold(K: EmbeddedComplex, m: int, weighted_simplices) -> PolyhedralV
     A simplex is an id or a vertex tuple in any order.
     """
     pairs = list(weighted_simplices)
+    simplices = [s for s, _ in pairs]
     weights = np.array([c for _, c in pairs], dtype=float)
     if not ((weights >= 0) & (weights < math.inf)).all():
         raise ValueError("varifold weights must be finite and nonnegative")
-    given = np.array([isinstance(s, (int, np.integer)) for s, _ in pairs], dtype=bool)
+    given = np.zeros(len(pairs), dtype=bool)
     sids = np.zeros(len(pairs), dtype=np.intp)
-    ids = [s for (s, _), g in zip(pairs, given) if g]
-    out = next((s for s in ids if not 0 <= s < K.n_simplices(m)), None)
-    if out is not None:
-        raise ValueError(f"simplex id {out} out of range")
-    sids[given] = ids
-    tuples = [s for (s, _), g in zip(pairs, given) if not g]
+    tuples = simplices
+    # one pass over the types finds whether any simplex is given by its id
+    if any(issubclass(t, (int, np.integer)) for t in set(map(type, simplices))):
+        given[:] = [isinstance(s, (int, np.integer)) for s in simplices]
+        ids = [s for s, g in zip(simplices, given.tolist()) if g]
+        out = next((s for s in ids if not 0 <= s < K.n_simplices(m)), None)
+        if out is not None:
+            raise ValueError(f"simplex id {out} out of range")
+        sids[given] = ids
+        tuples = [s for s, g in zip(simplices, given.tolist()) if not g]
     sids[~given] = K.simplex_ids(vertex_rows(tuples, m + 1)[1])
     summed = np.bincount(sids, weights, minlength=K.n_simplices(m))
     ids = np.flatnonzero(summed)
@@ -110,16 +118,18 @@ def conormal(K: EmbeddedComplex, sigma, tau, tol=None) -> np.ndarray:
     if not set(tau_t) < set(sigma_t) or len(tau_t) != len(sigma_t) - 1:
         raise ValueError(f"{tau_t} is not a facet of {sigma_t}")
     slot = next(j for j, v in enumerate(sigma_t) if v not in tau_t)
-    return _conormals(K.vertices, np.array([sigma_t]), np.array([slot]), tol)[0]
+    sigmas = np.array([sigma_t])
+    return _conormals(K.vertices, sigmas, np.array([slot]), longest_edge(K.vertices[sigmas]), tol)[0]
 
 
-def _conormals(coords, sigmas, slots, tol=None) -> np.ndarray:
+def _conormals(coords, sigmas, slots, edges, tol=None) -> np.ndarray:
     """Outward unit conormals across facet ``slots[i]`` of simplex ``sigmas[i]``.
 
     ``sigmas`` holds (n, m+1) vertex ids; facet j drops vertex j, which is the
     opposite vertex.  One stacked Gram solve projects the opposite vertex off
     each facet's affine span.  A height at most ``tol`` times the simplex's
-    longest edge is degenerate, the scale-relative rule of ``degenerate``.
+    longest edge ``edges[i]`` is degenerate, the scale-relative rule of
+    ``degenerate``.
     """
     n, k = sigmas.shape
     facets = sigmas[np.arange(k)[None, :] != slots[:, None]].reshape(n, k - 1)
@@ -130,7 +140,7 @@ def _conormals(coords, sigmas, slots, tol=None) -> np.ndarray:
         coeff = np.linalg.solve(spans @ spans.transpose(0, 2, 1), spans @ d[:, :, None])
         d = d - (spans.transpose(0, 2, 1) @ coeff)[:, :, 0]
     scale = np.linalg.norm(d, axis=1)
-    if np.any(scale <= config.zero_tol(tol) * longest_edge(coords[sigmas])):
+    if np.any(scale <= config.zero_tol(tol) * edges):
         raise ValueError("degenerate geometry: face and opposite vertex collapse")
     return -d / scale[:, None]
 
@@ -231,7 +241,7 @@ def stationarity(
     keep = np.flatnonzero(interior[face])
     keep = keep[np.argsort(face[keep], kind="stable")]
     face, sid, slot, weight = face[keep], sid[keep], slot[keep], weight[keep]
-    nu = _conormals(K.vertices, K.simplex_rows[m][sid], slot, tol)
+    nu = _conormals(K.vertices, K.simplex_rows[m][sid], slot, K.longest_edges(m)[sid], tol)
     residual = np.zeros((nf, K.ambient_dim))
     np.add.at(residual, face, weight[:, None] * nu)
     residual_norm = np.linalg.norm(residual, axis=1)
@@ -337,16 +347,25 @@ def varifold_to_json(V: PolyhedralVarifold) -> dict:
     }
 
 
+def varifold_text(V: PolyhedralVarifold) -> str:
+    """``json.dumps(varifold_to_json(V), sort_keys=True)``, written from the arrays."""
+    rows = V.complex.simplex_rows[V.dimension][V.ids]
+    template = '{"c": %s, "simplex": ' + json_list_template("%d", rows.shape[1]) + "}"
+    entries = json_rows(template, np.column_stack([json_floats(V.weights), rows.astype(object)]))
+    return f'{{"dimension": {V.dimension}, "weights": [{entries}]}}'
+
+
 def varifold_from_json(K: EmbeddedComplex, doc: dict) -> PolyhedralVarifold:
     m = json_integer(doc, "dimension")
-    pairs = []
-    for entry in json_list(doc, "weights", dict):
-        simplex, c = entry["simplex"], entry["c"]
-        well_typed = isinstance(simplex, (list, int)) and isinstance(c, (int, float))
-        if not well_typed or bool in (type(simplex), type(c)):
-            raise ValueError(f"malformed weight entry {entry!r}")
-        pairs.append((simplex, c))
-    return make_varifold(K, m, pairs)
+    entries = json_list(doc, "weights", dict)
+    simplices, weights = [entry["simplex"] for entry in entries], [entry["c"] for entry in entries]
+    # one pass over the types: a simplex is a list or an id, a weight a
+    # number, and neither is a bool
+    if not (set(map(type, simplices)) <= {list, int} and set(map(type, weights)) <= {int, float}):
+        bad = next(entry for entry, s, c in zip(entries, simplices, weights)
+                   if type(s) not in (list, int) or type(c) not in (int, float))
+        raise ValueError(f"malformed weight entry {bad!r}")
+    return make_varifold(K, m, zip(simplices, weights))
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,17 @@ The min-mass solver starts from the calibration's dual.  Whatever that start,
 its weak-duality bound for the boundary of a chain A may not exceed M(A),
 which is the mass of a feasible point: not for the start itself, not for the
 start with half of its rows negated, and not at the end of the solve.
+
+The provenance hashes are taken of texts written from the arrays.  Each must
+be the text ``json.dumps(doc, sort_keys=True)`` writes for the document the
+complex or varifold serializes to, whatever the floats: -0.0 beside 0.0, the
+smallest subnormal, the largest finite values, repeated and distinct ones.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 
 import numpy as np
 import pytest
@@ -32,7 +38,7 @@ from hypothesis import given, settings, strategies as st
 
 from polycal.calibration import minimality_certificate, phi
 from polycal.chains import boundary, chain_from_json, chain_to_json, mass, transport_chain
-from polycal.complexes import complex_from_json, subdivide
+from polycal.complexes import EmbeddedComplex, complex_from_json, subdivide
 from polycal.solver import (
     MinMassProblem,
     SolverConfig,
@@ -42,10 +48,12 @@ from polycal.solver import (
 )
 from polycal.varifolds import (
     CATALOG,
+    PolyhedralVarifold,
     chainify,
     generate_example,
     stationarity,
     varifold_from_json,
+    varifold_text,
     varifold_to_json,
 )
 from test_acceptance import delaunay_complex, random_lambda_chain
@@ -216,3 +224,42 @@ def test_the_dual_start_never_lifts_the_bound_above_the_mass(case, seed):
     res = min_mass_fixed_boundary(MinMassProblem(K, m, dA, A.group, cfg))
     assert res.status == "converged"
     assert res.lower_bound <= mass(A) + cfg.primal_tol
+
+
+def assert_texts_are_the_json_texts(K, V):
+    doc = K.to_json()
+    del doc["gamma_faces"]
+    assert K.content_text() == json.dumps(doc, sort_keys=True)
+    assert varifold_text(V) == json.dumps(varifold_to_json(V), sort_keys=True)
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16, -1e16, 0.1, 1.0, -2.0, 3e-7]
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data(), n=st.integers(2, 7), dim=st.integers(1, 3))
+def test_the_hashed_texts_are_the_json_texts(data, n, dim):
+    """The complex is n vertices in R^dim and a path of edges, with the
+    isolated vertex n-1 when the path stops short; no geometry is checked."""
+    number = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+    coords = data.draw(st.lists(number, min_size=n * dim, max_size=n * dim))
+    stop = data.draw(st.integers(1, n - 1))
+    edges = [(i, i + 1) for i in range(stop - 1)] + [(stop - 1, stop)]
+    K = EmbeddedComplex(np.reshape(coords, (n, dim)), [[(i,) for i in range(n)], edges])
+    weight = st.one_of(st.sampled_from([w for w in SPECIAL_FLOATS if w > 0]),
+                       st.floats(min_value=5e-324, allow_infinity=False))
+    weights = data.draw(st.lists(weight, min_size=len(edges), max_size=len(edges)))
+    assert_texts_are_the_json_texts(K, PolyhedralVarifold(K, 1, np.arange(len(edges)), weights))
+
+
+def test_negative_zero_keeps_its_sign_beside_zero():
+    K = EmbeddedComplex([[0.0, -0.0], [-0.0, 0.0], [1.0, 1.0]], [[(0,), (1,), (2,)], [(0, 1), (1, 2)]])
+    assert '"vertices": [[0.0, -0.0], [-0.0, 0.0], [1.0, 1.0]]' in K.content_text()
+    assert_texts_are_the_json_texts(K, PolyhedralVarifold(K, 1, [0, 1], [0.1, 1e308]))
+
+
+@pytest.mark.parametrize("label", EXAMPLES)
+def test_the_hashed_texts_of_the_refined_catalog_are_the_json_texts(label):
+    name, params = EXAMPLES[label]
+    K, V, _ = generate_example(name, refinement=2, **params)
+    assert_texts_are_the_json_texts(K, V)
