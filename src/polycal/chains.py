@@ -164,9 +164,12 @@ def transport_chain(A: Chain, corr: SubdivisionMap) -> Chain:
     """Re-express a chain on the refinement; mass and orientation preserved."""
     if corr.src is not A.complex:
         raise ValueError("subdivision map was built for a different complex")
-    children = corr.matrices[A.dimension][:, A.ids].tocoo()
-    rows = A.coeffs[children.col] * children.data[:, None]
-    return _canonical(corr.dst, A.dimension, A.group, children.row, rows)
+    kids, parents, signs = corr.children[A.dimension]
+    slot = np.full(corr.src.n_simplices(A.dimension), -1)  # each parent's row in A, or -1
+    slot[A.ids] = np.arange(A.ids.size)
+    take = np.flatnonzero(slot[parents] >= 0)
+    rows = A.coeffs[slot[parents[take]]] * signs[take, None]
+    return _canonical(corr.dst, A.dimension, A.group, kids[take], rows)
 
 
 @dataclass

@@ -9,6 +9,7 @@ coefficients instead.  Construction closes the input under the face relation.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -382,10 +383,9 @@ def _closed_complex(vertices, tops) -> EmbeddedComplex:
     # the complex rejects non-finite vertices, which would trip the flatness test
     K = EmbeddedComplex(vertices, levels)
     for d in range(1, len(tops)):
-        flats = K.flat(d) if len(tops[d]) else None
-        if flats is not None and flats.any():
-            # the first flat one in input order, as the input names it
-            flats = np.flatnonzero(flats[_find(K.simplex_rows[d], tops[d])[0]])
+        if len(tops[d]) and K.flat(d).any():
+            # name the first flat top in input order
+            flats = np.flatnonzero(K.flat(d)[_find(K.simplex_rows[d], tops[d])[0]])
             if flats.size:
                 raise ValueError(f"top simplex {tuple(tops[d][flats[0]].tolist())} is geometrically degenerate")
     return K
@@ -514,14 +514,23 @@ def validate_geometry(K: EmbeddedComplex, tol: float = 1e-7) -> GeometryReport:
 class SubdivisionMap:
     """Correspondence from parent simplices to oriented children.
 
-    ``matrices[d]`` is the sparse (children x parents) matrix of the
-    d-simplices: entry +1 or -1 where the child lies in the parent, the sign
-    relating the child's canonical orientation to the parent's.
+    ``children[d]`` is (kids, parents, signs) for the d-simplices: child
+    ``kids[i]`` lies in parent ``parents[i]``, and ``signs[i]`` (+1 or -1)
+    relates the child's canonical orientation to the parent's.  Each child
+    lies in exactly one parent.  ``matrices[d]`` is the same map as a sparse
+    (children x parents) matrix, built on first use.
     """
 
     src: EmbeddedComplex
     dst: EmbeddedComplex
-    matrices: list
+    children: list
+
+    @functools.cached_property
+    def matrices(self) -> list:
+        from scipy import sparse
+
+        return [sparse.csc_matrix((signs, (kids, parents)), shape=(self.dst.n_simplices(d), self.src.n_simplices(d)))
+                for d, (kids, parents, signs) in enumerate(self.children)]
 
 
 def _assemble_subdivision(K, new_vertices, children):
@@ -530,20 +539,16 @@ def _assemble_subdivision(K, new_vertices, children):
     ``children[d]`` is (parent ids, child rows): the d-simplices of the
     refinement inside each parent, as sorted vertex rows.
     """
-    from scipy import sparse
-
     refined = _closed_complex(new_vertices, [rows for _, rows in children])
-    matrices = []
+    resolved = []
     for d, (parents, rows) in enumerate(children):
         kids = _find(refined.simplex_rows[d], rows)[0]
         dots = rowdot(K.unit_blades(d)[parents], refined.unit_blades(d)[kids])
         skew = np.flatnonzero(np.abs(np.abs(dots) - 1.0) > 1e-6)
         if skew.size:
             raise RuntimeError(f"child {kids[skew[0]]} not parallel to parent {parents[skew[0]]}")
-        signs = np.where(dots > 0, 1, -1).astype(np.int8)
-        shape = (refined.n_simplices(d), K.n_simplices(d))
-        matrices.append(sparse.csc_matrix((signs, (kids, parents)), shape=shape))
-    return refined, SubdivisionMap(src=K, dst=refined, matrices=matrices)
+        resolved.append((kids, parents, np.where(dots > 0, 1, -1).astype(np.int8)))
+    return refined, SubdivisionMap(src=K, dst=refined, children=resolved)
 
 
 def _barycentric(K: EmbeddedComplex):

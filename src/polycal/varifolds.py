@@ -304,9 +304,10 @@ def boundary_region_for(V: PolyhedralVarifold) -> BoundaryRegion:
 def transport_varifold(V: PolyhedralVarifold, corr: SubdivisionMap) -> PolyhedralVarifold:
     if corr.src is not V.complex:
         raise ValueError("subdivision map was built for a different complex")
-    parents = np.zeros(V.complex.n_simplices(V.dimension))
-    parents[V.ids] = V.weights
-    children = abs(corr.matrices[V.dimension]) @ parents
+    kids, parents, _ = corr.children[V.dimension]
+    weights = np.zeros(V.complex.n_simplices(V.dimension))
+    weights[V.ids] = V.weights
+    children = np.bincount(kids, weights[parents], minlength=corr.dst.n_simplices(V.dimension))
     ids = np.flatnonzero(children)
     return PolyhedralVarifold(corr.dst, V.dimension, ids, children[ids])
 

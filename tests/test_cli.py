@@ -518,11 +518,20 @@ def test_an_overflowing_vertex_coordinate_yields_no_nan(tmp_path, capsys, coordi
     _assert_no_output_but_an_error(capsys)
 
 
-def test_importing_the_cli_loads_no_scipy():
-    # scipy is imported by the functions that use it: sparse matrices, lsmr,
-    # linprog and the k-d tree are off the certify path
+def test_importing_the_cli_refining_and_certifying_load_no_scipy(tmp_path):
+    # scipy is imported by the functions that use it: boundary matrices,
+    # lsmr, linprog, the k-d tree and subdivision maps as sparse matrices are
+    # all off the demo and certify paths
     src = os.path.dirname(os.path.dirname(os.path.abspath(polycal.__file__)))
-    script = "import sys, polycal.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    bundle, cert = str(tmp_path / "bundle.json"), str(tmp_path / "cert.json")
+    script = "\n".join([
+        "import sys, polycal.cli",
+        "def loaded(): print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        "loaded()",
+        f"assert polycal.cli.main(['demo', 'tetrahedral_cone', '--refine', '1', '--out', {bundle!r}]) == 0",
+        f"assert polycal.cli.main(['certify', '--in', {bundle!r}, '--out', {cert!r}]) == 0",
+        "loaded()",
+    ])
     env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.split() == ["[]", "[]"]
