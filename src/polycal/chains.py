@@ -165,10 +165,10 @@ def transport_chain(A: Chain, corr: SubdivisionMap) -> Chain:
     if corr.src is not A.complex:
         raise ValueError("subdivision map was built for a different complex")
     kids, parents, signs = corr.children[A.dimension]
-    slot = np.full(corr.src.n_simplices(A.dimension), -1)  # each parent's row in A, or -1
-    slot[A.ids] = np.arange(A.ids.size)
-    take = np.flatnonzero(slot[parents] >= 0)
-    rows = A.coeffs[slot[parents[take]]] * signs[take, None]
+    row = np.full(corr.src.n_simplices(A.dimension), -1)  # each parent's row of A.coeffs, or -1
+    row[A.ids] = np.arange(A.ids.size)
+    take = np.flatnonzero(row[parents] >= 0)
+    rows = A.coeffs[row[parents[take]]] * signs[take, None]
     return _canonical(corr.dst, A.dimension, A.group, kids[take], rows)
 
 
