@@ -25,6 +25,7 @@ from .complexes import (
     vertex_pairs,
     vertex_rows,
 )
+from .exterior_algebra import wedge_rows
 from .groups import CoefficientGroup, SubgroupWithNorm, group_from_json, group_to_json
 
 
@@ -145,6 +146,18 @@ def boundary(A: Chain) -> Chain:
     signs = np.where(np.arange(m + 1) % 2, -1, 1)
     rows = A.coeffs[:, None, :] * signs[None, :, None]
     return _canonical(K, m - 1, G, K.faces[m][A.ids].reshape(-1), rows.reshape(-1, G.width))
+
+
+def calibration_cochain(K: EmbeddedComplex, m: int) -> np.ndarray:
+    """The (m-1)-cochain Y_tau = (vol tau / m) (b_tau - o) ^ eta_tau, with M^T Y = vol * eta.
+
+    This is the cone construction (Whitney, Geometric Integration Theory,
+    1957) at each barycenter b_tau.  The vertex centroid o leaves M^T Y alone,
+    since the faces of a simplex have zero total oriented area.
+    """
+    arms = K.vertices[K.simplex_rows[m - 1]].mean(axis=1) - K.vertices.mean(axis=0)
+    blades = wedge_rows(arms, K.unit_blades(m - 1), K.ambient_dim, 1, m - 1)
+    return (K.volumes(m - 1) / m)[:, None] * blades
 
 
 def mass(A: Chain) -> float:

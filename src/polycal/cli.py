@@ -241,7 +241,7 @@ def _parser():
 
 def _emit(payload, out_path):
     try:
-        text = json.dumps(payload, indent=2, default=float, allow_nan=False)
+        text = json.dumps(payload, default=float, allow_nan=False)
     except ValueError:
         raise ValueError("the result holds a non-finite number: an input overflows double precision") from None
     if out_path:

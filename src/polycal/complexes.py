@@ -9,7 +9,6 @@ coefficients instead.  Construction closes the input under the face relation.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import json
@@ -204,9 +203,6 @@ class EmbeddedComplex:
         """Which d-simplices are ``flat`` at the default tolerance."""
         return flat(self.volumes(d), self.longest_edges(d), d)
 
-    def volume(self, d: int, sid: int) -> float:
-        return float(self.volumes(d)[sid])
-
     def unit_blades(self, d: int) -> np.ndarray:
         """Unit simple d-vectors of all canonically oriented d-simplices (cached).
 
@@ -318,6 +314,29 @@ def integral(value) -> bool:
     return integer or isinstance(value, float) and value.is_integer()
 
 
+def real_floats(values, what: str) -> np.ndarray:
+    """A number, a list of numbers or a list of lists of numbers as floats.
+
+    A bool, a string or any other non-number is refused, and so is an
+    integer beyond float range.
+    """
+    try:
+        array = np.array(values, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{what} beyond float range") from None
+    except TypeError:  # a JSON object among the numbers
+        raise ValueError(f"{what}s must be numbers") from None
+    # np.array takes a bool or a numeric string as well; one pass over the
+    # types passes the common case, JSON floats and ints only
+    rows = values if array.ndim == 2 else [values] if array.ndim == 1 else [[values]]
+    entries = list(itertools.chain.from_iterable(rows))
+    if set(map(type, entries)) - {float, int}:
+        bad = next((x for x in entries if isinstance(x, bool) or not isinstance(x, numbers.Real)), None)
+        if bad is not None:
+            raise ValueError(f"{bad!r} is not a real {what}")
+    return array
+
+
 def vertex_rows(tuples, k: int):
     """Sequences of k distinct vertex ids as (n, k) int rows: as given, and sorted."""
     if set(map(len, tuples)) - {k}:
@@ -344,10 +363,7 @@ def build_complex(vertices, top_simplices, ambient_dim=None) -> EmbeddedComplex:
     Input simplices may mix dimensions.  Top-dimensional entries must be
     geometrically nondegenerate; exact duplicates in the input are rejected.
     """
-    try:
-        vertices = np.array(vertices, dtype=float)
-    except TypeError:  # a JSON object among the coordinates
-        raise ValueError("vertex coordinates must be numbers") from None
+    vertices = real_floats(vertices, "vertex coordinate")
     if vertices.ndim == 1:
         vertices = vertices.reshape(-1, 1)
     if ambient_dim is not None and vertices.shape[1] != ambient_dim:
@@ -412,7 +428,7 @@ def complex_from_json(doc) -> tuple:
     K = build_complex(
         json_list(doc, "vertices"),
         json_list(doc, "simplices", list),
-        ambient_dim=doc.get("ambient_dim"),
+        ambient_dim=None if doc.get("ambient_dim") is None else json_integer(doc, "ambient_dim"),
     )
     gamma = None
     if doc.get("gamma_faces"):
@@ -517,20 +533,12 @@ class SubdivisionMap:
     ``children[d]`` is (kids, parents, signs) for the d-simplices: child
     ``kids[i]`` lies in parent ``parents[i]``, and ``signs[i]`` (+1 or -1)
     relates the child's canonical orientation to the parent's.  Each child
-    lies in exactly one parent.  ``matrices[d]`` is the same map as a sparse
-    (children x parents) matrix, built on first use.
+    lies in exactly one parent.
     """
 
     src: EmbeddedComplex
     dst: EmbeddedComplex
     children: list
-
-    @functools.cached_property
-    def matrices(self) -> list:
-        from scipy import sparse
-
-        return [sparse.csc_matrix((signs, (kids, parents)), shape=(self.dst.n_simplices(d), self.src.n_simplices(d)))
-                for d, (kids, parents, signs) in enumerate(self.children)]
 
 
 def _assemble_subdivision(K, new_vertices, children):

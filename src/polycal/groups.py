@@ -16,25 +16,12 @@ answer when nothing cheaper turns up.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import config
-from .complexes import integral
-
-
-def _real_row(raw) -> np.ndarray:
-    """Validated float row of real numbers; a bool or a string is not one."""
-    items = np.ravel(np.asarray(raw, dtype=object)).tolist()
-    for x in items:
-        if isinstance(x, bool) or not isinstance(x, numbers.Real):
-            raise ValueError(f"{x!r} is not a real coefficient")
-    try:
-        return np.array(items, dtype=float)
-    except OverflowError:
-        raise ValueError("real coefficient beyond float range") from None
+from .complexes import integral, real_floats
 
 
 def _int_row(raw, width: int) -> np.ndarray:
@@ -104,7 +91,7 @@ class RealGroup(CoefficientGroup):
         return np.abs(rows[:, 0])
 
     def coerce(self, raw):
-        row = _real_row(raw)
+        row = real_floats(raw, "coefficient").ravel()
         if row.size != 1:
             raise ValueError(f"expected one real entry, got {row.size}")
         return row
@@ -152,7 +139,7 @@ class MultivectorGroup(CoefficientGroup):
         return np.linalg.norm(rows, axis=1)
 
     def coerce(self, raw):
-        row = _real_row(raw)
+        row = real_floats(raw, "coefficient").ravel()
         if row.size != self.width:
             raise ValueError(
                 f"coefficient vector has length {row.size}, expected "

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .chains import Chain, _canonical, boundary, chain_to_json, combine, mass
+from .chains import Chain, _canonical, boundary, calibration_cochain, chain_to_json, combine, mass
 from .complexes import EmbeddedComplex
 from .groups import CoefficientGroup, MultivectorGroup, RealGroup
 
@@ -151,13 +151,12 @@ def _least_squares(M, rhs):
 
 
 def _calibration_dual(K: EmbeddedComplex, m: int):
-    """-Y for the least-squares Y of M^T Y = vol * eta over the m-simplices.
+    """-Y for the closed-form Y of M^T Y = vol * eta over the m-simplices.
 
-    The calibration vol * eta (eta the unit m-vector of each simplex) is a
-    coboundary, so this is an optimal dual whenever the target bounds a
-    calibrated chain; for any other target it is only a starting point.
+    This is an optimal dual whenever the target bounds a calibrated chain;
+    for any other target it is only a starting point.
     """
-    return -_least_squares(K.boundary_matrix(m).T, K.volumes(m)[:, None] * K.unit_blades(m))
+    return -calibration_cochain(K, m)
 
 
 def _solve_blockwise(M, weights, target, cfg: SolverConfig, warm=None, dual=None):

@@ -34,6 +34,7 @@ from .complexes import (
     json_rows,
     longest_edge,
     pushforward_complex,
+    real_floats,
     subdivide,
     vertex_rows,
 )
@@ -85,7 +86,7 @@ def make_varifold(K: EmbeddedComplex, m: int, weighted_simplices) -> PolyhedralV
     """
     pairs = list(weighted_simplices)
     simplices = [s for s, _ in pairs]
-    weights = np.array([c for _, c in pairs], dtype=float)
+    weights = real_floats([c for _, c in pairs], "weight")
     if not ((weights >= 0) & (weights < math.inf)).all():
         raise ValueError("varifold weights must be finite and nonnegative")
     given = np.zeros(len(pairs), dtype=bool)
@@ -359,14 +360,12 @@ def varifold_text(V: PolyhedralVarifold) -> str:
 def varifold_from_json(K: EmbeddedComplex, doc: dict) -> PolyhedralVarifold:
     m = json_integer(doc, "dimension")
     entries = json_list(doc, "weights", dict)
-    simplices, weights = [entry["simplex"] for entry in entries], [entry["c"] for entry in entries]
-    # one pass over the types: a simplex is a list or an id, a weight a
-    # number, and neither is a bool
-    if not (set(map(type, simplices)) <= {list, int} and set(map(type, weights)) <= {int, float}):
-        bad = next(entry for entry, s, c in zip(entries, simplices, weights)
-                   if type(s) not in (list, int) or type(c) not in (int, float))
+    simplices = [entry["simplex"] for entry in entries]
+    # one pass over the types: a simplex is a list or an id, and not a bool
+    if not set(map(type, simplices)) <= {list, int}:
+        bad = next(entry for entry, s in zip(entries, simplices) if type(s) not in (list, int))
         raise ValueError(f"malformed weight entry {bad!r}")
-    return make_varifold(K, m, zip(simplices, weights))
+    return make_varifold(K, m, zip(simplices, [entry["c"] for entry in entries]))
 
 
 # ---------------------------------------------------------------------------

@@ -304,7 +304,7 @@ def test_retag_mass_dominates_ambient_mass():
     A = make_chain(K, 1, G, [((0, 1), coeff)])
     B = retag_chain(A, H)
     assert mass(B) >= mass(A) - 1e-12
-    assert mass(B) == pytest.approx(2.0 * K.volume(1, int(K.simplex_ids([(0, 1)])[0])))
+    assert mass(B) == pytest.approx(2.0 * K.volumes(1)[K.simplex_ids([(0, 1)])[0]])
 
 
 # ---------------------------------------------------------------------------

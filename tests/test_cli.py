@@ -260,6 +260,14 @@ SEGMENTS = [[0, 1], [0, 2]]
             {"vertices": TRIANGLE_VERTICES, "simplices": SEGMENTS},
             {"dimension": 1, "weights": [{"simplex": True, "c": 1.0}]},
         ),
+        ({"vertices": [[0, 0], [True, 0], [0, 1]], "simplices": SEGMENTS}, None),
+        ({"vertices": [[0, 0], ["1", 0], [0, 1]], "simplices": SEGMENTS}, None),
+        ({"vertices": [[0, 0], [10**400, 0], [0, 1]], "simplices": SEGMENTS}, None),
+        ({"ambient_dim": True, "vertices": [0, 1, 2], "simplices": [[0, 1], [1, 2]]}, None),
+        (
+            {"vertices": TRIANGLE_VERTICES, "simplices": SEGMENTS},
+            {"dimension": 1, "weights": [{"simplex": [0, 1], "c": 10**400}]},
+        ),
     ],
 )
 def test_malformed_document_is_exit_two(tmp_path, capsys, complex_doc, varifold_doc):

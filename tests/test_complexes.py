@@ -175,7 +175,7 @@ def test_subdivisions_are_canonical_complexes(n_dim, n_points):
         assert tuples(refined) == tuples(build_complex(refined.vertices, tops))
         for d in range(K.dim + 1):
             assert all(list(t) == sorted(set(t)) for t in tuples(refined)[d])
-            per_parent = np.diff(corr.matrices[d].indptr).tolist()
+            per_parent = np.bincount(corr.children[d][1], minlength=K.n_simplices(d)).tolist()
             if rule == "barycentric":
                 assert per_parent == [math.factorial(d + 1)] * K.n_simplices(d)
             else:
@@ -269,9 +269,10 @@ def test_barycentric_triangle_gives_six_children():
     K = build_complex([[0, 0], [1, 0], [0, 1]], [(0, 1, 2)])
     refined, corr = subdivide(K, "barycentric")
     assert refined.n_simplices(2) == 6
-    children = corr.matrices[2][:, 0].nonzero()[0]
+    kids, parents, _ = corr.children[2]
+    children = kids[parents == 0]
     assert len(children) == 6
-    total = sum(refined.volume(2, cid) for cid in children)
+    total = refined.volumes(2)[children].sum()
     assert total == pytest.approx(0.5, rel=1e-12)
 
 
@@ -279,9 +280,11 @@ def test_edge_midpoint_split_of_triangle():
     K = build_complex([[0, 0], [1, 0], [0, 1]], [(0, 1, 2)])
     refined, corr = subdivide(K, "edge_midpoint", edge=(0, 1))
     assert refined.n_simplices(2) == 2
-    assert corr.matrices[2][:, 0].nnz == 2
+    assert np.count_nonzero(corr.children[2][1] == 0) == 2
     d, eid = 1, int(K.simplex_ids([(0, 2)])[0])
-    column = corr.matrices[d][:, eid].toarray().ravel()
+    kids, parents, signs = corr.children[d]
+    column = np.zeros(refined.n_simplices(d), dtype=int)
+    column[kids[parents == eid]] = signs[parents == eid]
     assert column.tolist() == [1 if cid == refined.simplex_ids([(0, 2)])[0] else 0
                                for cid in range(refined.n_simplices(d))]
 
@@ -292,10 +295,10 @@ def test_subdivision_preserves_volumes():
     K = build_complex(verts, [(0, 1, 2, 3), (1, 2, 3, 4)])
     refined, corr = subdivide(K, "barycentric")
     for d in range(1, K.dim + 1):
+        kids, parents, _ = corr.children[d]
         for sid in range(K.n_simplices(d)):
-            children = corr.matrices[d][:, sid].nonzero()[0]
-            total = sum(refined.volume(d, cid) for cid in children)
-            assert total == pytest.approx(K.volume(d, sid), rel=1e-12)
+            total = refined.volumes(d)[kids[parents == sid]].sum()
+            assert total == pytest.approx(K.volumes(d)[sid], rel=1e-12)
 
 
 def test_subdivision_signs_match_parent_orientation():
@@ -304,10 +307,11 @@ def test_subdivision_signs_match_parent_orientation():
     K = build_complex(verts, [(0, 1, 2, 3)])
     refined, corr = subdivide(K, "barycentric")
     for d in range(1, K.dim + 1):
-        P = corr.matrices[d].tocoo()
-        assert P.shape == (refined.n_simplices(d), K.n_simplices(d))
-        assert np.bincount(P.row).max() == 1  # a child lies in one parent
-        for cid, sid, sign in zip(P.row, P.col, P.data):
+        kids, parents, signs = corr.children[d]
+        assert 0 <= kids.min() and kids.max() < refined.n_simplices(d)
+        assert 0 <= parents.min() and parents.max() < K.n_simplices(d)
+        assert np.bincount(kids).max() == 1  # a child lies in one parent
+        for cid, sid, sign in zip(kids, parents, signs):
             parent = K.unit_blade(d, sid)
             child = refined.unit_blade(d, cid)
             assert np.allclose(child, int(sign) * parent, rtol=0.0, atol=1e-9)

@@ -184,7 +184,7 @@ def test_solver_config_ignores_unknown_keys():
 def oracle_line_search_triangle(A, K):
     """1-d oracle: scan the single filling coefficient q."""
     per = mass(A)
-    area = K.volume(2, 0)
+    area = K.volumes(2)[0]
     qs = np.linspace(-2.0, 2.0, 40001)
     vals = np.abs(1 + qs) * per + np.abs(qs) * area
     return float(vals.min())
