@@ -184,9 +184,9 @@ def test_the_calibration_cochain_bounds_the_catalog_calibration(name, params, re
     K, V, _ = generate_example(name, refinement=refinement, **params)
     m = V.dimension
     for factor in (1.0, 1e-6, 1e6):
-        K = scaled(K, factor)
-        assert coboundary_residual(K, m, K.volumes(m)) <= 1e-12  # relative to each volume
-        report = check_stokes(K, m, tol=1e-12)
+        S = scaled(K, factor)
+        assert coboundary_residual(S, m, S.volumes(m)) <= 1e-12  # relative to each volume
+        report = check_stokes(S, m, tol=1e-12)
         assert report.passed and report.max_normalized_residual <= 1e-12
 
 
@@ -194,8 +194,8 @@ def test_the_calibration_cochain_bounds_the_catalog_calibration(name, params, re
 @pytest.mark.parametrize("dim, n_points", [(2, 14), (3, 12)])
 def test_the_calibration_cochain_bounds_random_calibrations(dim, n_points, seed):
     """Random Delaunay complexes hold slivers, whose Gram-determinant volume
-    is off by up to 1.8e-8 relative, so the residual is measured against
-    each simplex's longest edge to the power m."""
+    can be off by 1e-8 relative, so the residual is measured against each
+    simplex's longest edge to the power m, as ``check_stokes`` measures it."""
     K = delaunay_complex(np.random.default_rng(seed), n_points, dim)
     for m in range(1, dim + 1):
         for factor in (1.0, 1e-6, 1e6):
