@@ -10,6 +10,7 @@ seed is recorded in the output, so runs are replayable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -200,6 +201,7 @@ _HANDLERS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def _parser():
     parser = argparse.ArgumentParser(
         prog="polycal",

@@ -34,13 +34,21 @@ def _facets(rows) -> np.ndarray:
 
 
 def _lexical(rows) -> np.ndarray:
-    """(n, k) non-negative integer rows as n keys in their lexicographic order.
+    """(n, k) non-negative integer rows as n int64 keys in their lexicographic order.
 
-    A key is the row's big-endian bytes, which compare bytewise as the row
-    compares entry by entry, whatever the size of the entries.
+    Each column is appended in mixed radix, base max id + 1.  When the next
+    multiply would reach 2**63 the keys so far are first replaced by their
+    ranks, so rows of any width and ids of any size take this one path.
     """
-    raw = np.ascontiguousarray(rows, dtype=">u8")
-    return raw.view(np.dtype((np.void, raw.itemsize * raw.shape[1]))).reshape(-1)
+    rows = np.asarray(rows, dtype=np.int64)
+    base = int(rows.max(initial=0)) + 1
+    keys, bound = np.zeros(len(rows), dtype=np.int64), 1
+    for column in rows.T:
+        if bound * base >= 2**63:
+            ranks, keys = np.unique(keys, return_inverse=True)
+            bound = len(ranks)
+        keys, bound = keys * base + column, bound * base
+    return keys
 
 
 def _distinct(rows) -> np.ndarray:
@@ -50,7 +58,10 @@ def _distinct(rows) -> np.ndarray:
 
 def _find(level, rows):
     """Positions of ``rows`` in the sorted distinct rows ``level``, and which are there."""
-    pos = np.searchsorted(_lexical(level), _lexical(rows))
+    # both are keyed together, to share one base; an id outside level's
+    # range matches no row, so clipping it moves only a miss
+    keys = _lexical(np.vstack([level, np.clip(rows, 0, level.max(initial=0) + 1)]))
+    pos = np.searchsorted(keys[:len(level)], keys[len(level):])
     found = pos < len(level)
     found[found] = np.all(level[pos[found]] == rows[found], axis=1)
     return pos, found
@@ -153,9 +164,8 @@ class EmbeddedComplex:
             self.faces.append(table.reshape(-1, d + 1))
         for rows in self.simplex_rows + self.faces[1:]:
             rows.setflags(write=False)
-        self._volumes = [None] * len(self.simplex_rows)
-        self._longest_edges = [None] * len(self.simplex_rows)
-        self._unit_blades = [None] * len(self.simplex_rows)
+        # (volumes, longest edges, flat mask, unit blades or None) per dimension
+        self._geometry = [None] * len(self.simplex_rows)
         self._boundary_matrices = {}
 
     @property
@@ -186,39 +196,48 @@ class EmbeddedComplex:
         return ids
 
     def volumes(self, d: int) -> np.ndarray:
-        """H^d measures of all d-simplices (cached, with their longest edges)."""
-        if self._volumes[d] is None:
+        """H^d measures |blade| / d! of all d-simplices.
+
+        One blade pass per dimension caches them with the longest edges, the
+        flat mask and the unit blades.  Raises ValueError when a volume or an
+        edge overflows.
+        """
+        if self._geometry[d] is None:
             points = self.vertices[self.simplex_rows[d]]
-            self._volumes[d], self._longest_edges[d] = volume_of_points(points), longest_edge(points)
-            for values in (self._volumes[d], self._longest_edges[d]):
+            blades = blade_of_points(points)
+            norms, edges = np.linalg.norm(blades, axis=1), longest_edge(points)
+            if not (np.isfinite(norms).all() and np.isfinite(edges).all()):
+                raise ValueError("the geometry holds a non-finite number: an input overflows double precision")
+            volumes = norms / math.factorial(d)
+            flats = flat(volumes, edges, d)
+            # a flat simplex has no unit blade: ``unit_blades`` raises instead
+            units = None if flats.any() else blades * (1.0 / norms)[:, None]
+            for values in (volumes, edges, flats, blades if units is None else units):
                 values.setflags(write=False)
-        return self._volumes[d]
+            self._geometry[d] = (volumes, edges, flats, units)
+        return self._geometry[d][0]
 
     def longest_edges(self, d: int) -> np.ndarray:
         """Longest edge length of each d-simplex (cached with ``volumes``)."""
         self.volumes(d)
-        return self._longest_edges[d]
+        return self._geometry[d][1]
 
     def flat(self, d: int) -> np.ndarray:
-        """Which d-simplices are ``flat`` at the default tolerance."""
-        return flat(self.volumes(d), self.longest_edges(d), d)
+        """Which d-simplices are ``flat`` at the default tolerance (cached with ``volumes``)."""
+        self.volumes(d)
+        return self._geometry[d][2]
 
     def unit_blades(self, d: int) -> np.ndarray:
-        """Unit simple d-vectors of all canonically oriented d-simplices (cached).
+        """Unit simple d-vectors of all canonically oriented d-simplices
+        (cached with ``volumes``).
 
         One row of C(N, d) coefficients per simplex; grade 0 is the scalar 1.
         """
-        if self._unit_blades[d] is None:
-            flats = np.flatnonzero(self.flat(d))
-            if flats.size:
-                raise DegenerateSimplexError(
-                    f"simplex {(d, int(flats[0]))} is geometrically degenerate"
-                )
-            blades = blade_of_points(self.vertices[self.simplex_rows[d]])
-            blades = blades * (1.0 / np.linalg.norm(blades, axis=1))[:, None]
-            blades.setflags(write=False)
-            self._unit_blades[d] = blades
-        return self._unit_blades[d]
+        self.volumes(d)
+        _, _, flats, units = self._geometry[d]
+        if units is None:
+            raise DegenerateSimplexError(f"simplex {(d, int(np.argmax(flats)))} is geometrically degenerate")
+        return units
 
     def unit_blade(self, d: int, sid: int) -> np.ndarray:
         """Unit simple d-vector of one canonically oriented simplex."""

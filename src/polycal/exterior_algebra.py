@@ -30,32 +30,27 @@ def basis_index_sets(ambient_dim: int, grade: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _wedge_table(ambient_dim: int, p: int, q: int):
-    """Index/sign table so that wedge reduces to one scatter-add.
+    """Index/sign table so that wedge reduces to one segmented sum.
 
     Entry k says: coefficient ``a[ia[k]] * b[ib[k]] * sign[k]`` accumulates
-    into output slot ``iout[k]``.  Signs count the inversions needed to merge
+    into one output slot; entries are sorted by slot and ``starts`` holds
+    where each slot's run begins.  Every (p+q)-set splits into a p-set and a
+    q-set, so no run is empty.  Signs count the inversions needed to merge
     the two sorted index sets.
     """
     basis_p = basis_index_sets(ambient_dim, p)
     basis_q = basis_index_sets(ambient_dim, q)
     out_pos = {s: i for i, s in enumerate(basis_index_sets(ambient_dim, p + q))}
-    ia, ib, iout, signs = [], [], [], []
+    entries = []
     for i, left in enumerate(basis_p):
         left_set = set(left)
         for j, right in enumerate(basis_q):
             if left_set & set(right):
                 continue
             inversions = sum(1 for a in left for b in right if a > b)
-            ia.append(i)
-            ib.append(j)
-            iout.append(out_pos[tuple(sorted(left + right))])
-            signs.append(-1.0 if inversions % 2 else 1.0)
-    return (
-        np.asarray(ia, dtype=np.intp),
-        np.asarray(ib, dtype=np.intp),
-        np.asarray(iout, dtype=np.intp),
-        np.asarray(signs, dtype=float),
-    )
+            entries.append((out_pos[tuple(sorted(left + right))], i, j, -1.0 if inversions % 2 else 1.0))
+    iout, ia, ib, signs = (np.asarray(c) for c in zip(*sorted(entries)))
+    return ia, ib, np.flatnonzero(np.diff(iout, prepend=-1)), signs
 
 
 def wedge_rows(a, b, ambient_dim: int, p: int, q: int) -> np.ndarray:
@@ -64,10 +59,8 @@ def wedge_rows(a, b, ambient_dim: int, p: int, q: int) -> np.ndarray:
         raise ValueError(f"coefficient width mismatch for grades {p}, {q} in R^{ambient_dim}")
     if p + q > ambient_dim:
         raise ValueError(f"grade overflow: {p} + {q} > ambient dimension {ambient_dim}")
-    ia, ib, iout, signs = _wedge_table(ambient_dim, p, q)
-    out = np.zeros((len(a), math.comb(ambient_dim, p + q)))
-    np.add.at(out.T, iout, (signs * a[:, ia] * b[:, ib]).T)
-    return out
+    ia, ib, starts, signs = _wedge_table(ambient_dim, p, q)
+    return np.add.reduceat(signs * a[:, ia] * b[:, ib], starts, axis=1)
 
 
 def rowdot(a, b) -> np.ndarray:
@@ -78,22 +71,20 @@ def rowdot(a, b) -> np.ndarray:
 def blade_of_points(points) -> np.ndarray:
     """Coefficients of (v1-v0) ^ ... ^ (vm-v0) for stacked (..., m+1, N) points.
 
-    The coefficient on e_I is the m x m minor of the edge matrix on the
-    columns I; not normalized.  Grade 0 gives the scalar 1.
+    Built by iterated ``wedge_rows``, one edge at a time; the coefficient on
+    e_I is the m x m minor of the edge matrix on the columns I.  Not
+    normalized.  Grade 0 gives the scalar 1.
     """
     points = np.asarray(points, dtype=float)
-    m, n = points.shape[-2] - 1, points.shape[-1]
-    if m == 0:
-        return np.ones(points.shape[:-2] + (1,))
-    edges = points[..., 1:, :] - points[..., :1, :]
-    columns = np.array(basis_index_sets(n, m))
-    minors = np.moveaxis(edges[..., columns], -2, -3)  # (..., C(N,m), m, m)
-    return np.linalg.det(minors)
+    lead, m, n = points.shape[:-2], points.shape[-2] - 1, points.shape[-1]
+    edges = (points[..., 1:, :] - points[..., :1, :]).reshape(math.prod(lead), m, n)
+    blade = edges[:, 0] if m else np.ones((len(edges), 1))
+    for j in range(1, m):
+        blade = wedge_rows(blade, edges[:, j], n, j, 1)
+    return blade.reshape(lead + blade.shape[1:])
 
 
 def volume_of_points(points):
-    """H^m measure sqrt(det(E E^T)) / m! of stacked (..., m+1, N) simplices."""
+    """H^m measure |blade| / m! of stacked (..., m+1, N) simplices."""
     points = np.asarray(points, dtype=float)
-    edges = points[..., 1:, :] - points[..., :1, :]
-    det = np.linalg.det(edges @ np.swapaxes(edges, -1, -2))  # 1 for a vertex
-    return np.sqrt(np.maximum(det, 0.0)) / math.factorial(points.shape[-2] - 1)
+    return np.linalg.norm(blade_of_points(points), axis=-1) / math.factorial(points.shape[-2] - 1)

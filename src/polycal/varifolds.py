@@ -138,10 +138,13 @@ def _conormals(coords, sigmas, slots, edges, tol=None) -> np.ndarray:
     d = coords[sigmas[np.arange(n), slots]] - base
     if k > 2:
         spans = coords[facets[:, 1:]] - base[:, None, :]
-        coeff = np.linalg.solve(spans @ spans.transpose(0, 2, 1), spans @ d[:, :, None])
+        gram, rhs = spans @ spans.transpose(0, 2, 1), spans @ d[:, :, None]
+        # a 1 x 1 system's LU solve is this one division, to the bit
+        coeff = rhs / gram if k == 3 else np.linalg.solve(gram, rhs)
         d = d - (spans.transpose(0, 2, 1) @ coeff)[:, :, 0]
     scale = np.linalg.norm(d, axis=1)
-    if np.any(scale <= config.zero_tol(tol) * edges):
+    # NaN, from a facet whose own vertices coincide, is degenerate too
+    if not np.all(scale > config.zero_tol(tol) * edges):
         raise ValueError("degenerate geometry: face and opposite vertex collapse")
     return -d / scale[:, None]
 
@@ -243,8 +246,8 @@ def stationarity(
     keep = keep[np.argsort(face[keep], kind="stable")]
     face, sid, slot, weight = face[keep], sid[keep], slot[keep], weight[keep]
     nu = _conormals(K.vertices, K.simplex_rows[m][sid], slot, K.longest_edges(m)[sid], tol)
-    residual = np.zeros((nf, K.ambient_dim))
-    np.add.at(residual, face, weight[:, None] * nu)
+    # per coordinate, bincount adds each face's terms in order, as add.at did
+    residual = np.stack([np.bincount(face, w, minlength=nf) for w in (weight[:, None] * nu).T], axis=1)
     residual_norm = np.linalg.norm(residual, axis=1)
     count = np.bincount(face, minlength=nf)
     bnorm = np.linalg.norm(brows, axis=1)

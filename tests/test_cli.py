@@ -172,6 +172,21 @@ def test_validate_command(tmp_path, capsys):
     assert code2 == 0 and report2["valid"]
 
 
+def test_the_cached_parser_keeps_each_calls_inputs(tmp_path, capsys, monkeypatch):
+    import polycal.cli
+
+    assert polycal.cli._parser() is polycal.cli._parser()
+    paths = []
+    for name in ("y_line", "tetrahedral_cone"):
+        code, bundle = run_cli(capsys, "demo", name)
+        paths.append(write(tmp_path, f"{name}.json", bundle))
+    seen, load = [], polycal.cli._load_documents
+    monkeypatch.setattr(polycal.cli, "_load_documents", lambda inputs: seen.append(list(inputs)) or load(inputs))
+    for path in paths:
+        assert main(["stationarity", "--in", path]) == 0
+    assert seen == [[path] for path in paths]
+
+
 def test_missing_input_is_exit_two(tmp_path, capsys):
     code = main(["stationarity", "--in", str(tmp_path / "nope.json")])
     assert code == 2

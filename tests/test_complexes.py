@@ -13,6 +13,7 @@ from polycal.complexes import (
     subdivide,
     validate_geometry,
 )
+from polycal.complexes import _distinct, _find
 
 
 def segment_triangle_intersects(p0, p1, tri, tol=1e-12):
@@ -147,6 +148,30 @@ def test_array_construction_with_large_vertex_ids():
     assert tuples(K) == simplices
     assert [K.faces[d].tolist() for d in range(1, K.dim + 1)] == faces
     assert K.maximal_simplices() == maximal
+
+
+@pytest.mark.parametrize("width", [1, 3, 5, 13])
+@pytest.mark.parametrize("top", [5, 50_000, 2**40])
+def test_row_keys_match_sorted_tuples(width, top):
+    # 50,000^5 and (2^40)^2 pass 2^63, so the keys are rank-compressed on the way
+    rng = np.random.default_rng(width * 1000 + top % 997)
+    for n in (1, 2, 40, 300):
+        rows = rng.integers(0, top, size=(n, width))
+        rows = np.vstack([rows, rows[rng.integers(0, n, size=n // 2 + 1)]])
+        rows = rows[rng.permutation(len(rows))]
+        expected = sorted(set(map(tuple, rows.tolist())))
+        level = _distinct(rows)
+        assert list(map(tuple, level.tolist())) == expected
+        # found rows, repeated; rows missing from level; ids beyond its range
+        probes = np.vstack([rows, rng.integers(0, top, size=(n, width)),
+                            np.full((1, width), -1), np.full((1, width), 2**62)])
+        probes[-1, 0] = probes[-2, 0] = rows[0, 0]
+        position = {t: i for i, t in enumerate(expected)}
+        pos, found = _find(level, probes)
+        for t, p, f in zip(map(tuple, probes.tolist()), pos.tolist(), found.tolist()):
+            assert f == (t in position), t
+            if f:
+                assert p == position[t], t
 
 
 def test_direct_construction_with_a_missing_face_raises():

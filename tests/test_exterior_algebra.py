@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from polycal.exterior_algebra import (
     wedge_rows,
 )
 from polycal.groups import MultivectorGroup
+from test_acceptance import delaunay_complex
 
 # A grade-p multivector of R^n is a row of C(n, p) coefficients; the tests
 # carry (n, p) alongside.
@@ -258,6 +260,37 @@ def test_volume_invariant_under_permutation_and_rigid_motion():
         assert volume_of_points(moved) == pytest.approx(vol, rel=1e-10)
 
 
+def exact_determinant(rows):
+    """det of a square matrix of Fractions, by exact Gaussian elimination."""
+    rows, det = [list(r) for r in rows], Fraction(1)
+    for j in range(len(rows)):
+        pivot = next((i for i in range(j, len(rows)) if rows[i][j]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != j:
+            rows[j], rows[pivot], det = rows[pivot], rows[j], -det
+        det *= rows[j][j]
+        for i in range(j + 1, len(rows)):
+            factor = rows[i][j] / rows[j][j]
+            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[j])]
+    return det
+
+
+def test_sliver_volumes_match_the_exact_determinant():
+    # the worst tetrahedron here has volume / longest edge^3 = 1.5e-6; the
+    # Gram form sqrt(det(E E^T)) / 3! squared its conditioning, 1.8e-8 off
+    K = delaunay_complex(np.random.default_rng(27), 12, 3)
+    points = K.vertices[K.simplex_rows[3]]
+    worst = int(np.argmin(K.volumes(3) / K.longest_edges(3) ** 3))
+    assert K.volumes(3)[worst] < 1e-5 * K.longest_edges(3)[worst] ** 3
+    for k, simplex in enumerate(points):
+        corner = [Fraction(x) for x in simplex[0]]
+        edges = [[Fraction(x) - c for x, c in zip(p, corner)] for p in simplex[1:]]
+        exact = float(abs(exact_determinant(edges)) / 6)
+        assert volume_of_points(simplex) == pytest.approx(exact, rel=1e-12, abs=0.0), k
+        assert K.volumes(3)[k] == pytest.approx(exact, rel=1e-12, abs=0.0), k
+
+
 def test_volume_of_degenerate_simplex_is_zero():
     assert volume_of_points([[0, 0], [1, 0], [2, 0]]) == 0.0
 
@@ -296,6 +329,20 @@ def test_blade_of_points_matches_iterated_wedge():
                 ref = wedge(ref, pts[k, j] - pts[k, 0], n, j - 1, 1)
             assert np.allclose(batched[k], ref, rtol=1e-12, atol=1e-12)
             assert volume_of_points(pts)[k] == pytest.approx(volume_of_points(pts[k]), rel=1e-12)
+
+
+def test_blade_of_points_matches_the_minors():
+    # a reference free of the wedge: the coefficient on e_I is the det of the
+    # edge matrix's columns I
+    rng = np.random.default_rng(43)
+    for n in range(1, 6):
+        for m in range(1, n + 1):
+            pts = rng.standard_normal((6, m + 1, n))
+            edges = pts[:, 1:] - pts[:, :1]
+            minors = np.stack([np.linalg.det(edges[:, :, list(columns)])
+                               for columns in basis_index_sets(n, m)], axis=1)
+            scale = np.prod(np.linalg.norm(edges, axis=2), axis=1)
+            assert np.all(np.abs(blade_of_points(pts) - minors) <= 1e-12 * scale[:, None]), (m, n)
 
 
 def test_blade_of_points_norm_is_factorial_times_volume():

@@ -359,6 +359,16 @@ def test_conormal_degeneracy_is_relative_to_the_simplex_scale():
         conormal(K, (0, 1, 2), (0, 1))
 
 
+# numpy warns of the 0 / 0 on its way; what is under test is the raise
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_conormal_across_a_collapsed_facet_raises():
+    K = EmbeddedComplex([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]],
+                        [[(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)], [(0, 1, 2)]])
+    for tau in [(0, 1), (0, 2), (1, 2)]:
+        with pytest.raises(ValueError):
+            conormal(K, (0, 1, 2), tau)
+
+
 # ---------------------------------------------------------------------------
 # catalog geometry
 
