@@ -51,11 +51,6 @@ def _lexical(rows) -> np.ndarray:
     return keys
 
 
-def _distinct(rows) -> np.ndarray:
-    """The distinct rows of ``rows``, in lexicographic order."""
-    return rows[np.unique(_lexical(rows), return_index=True)[1]]
-
-
 def _find(level, rows):
     """Positions of ``rows`` in the sorted distinct rows ``level``, and which are there."""
     # both are keyed together, to share one base; an id outside level's
@@ -138,35 +133,49 @@ class EmbeddedComplex:
         vertices.setflags(write=False)
         self.vertices = vertices
         self.ambient_dim = n
-        # simplex_rows[d] is the (n_d, d+1) array of the d-simplices' vertex
-        # ids in lexicographic order
         nv = len(vertices)
         levels = [np.asarray(s if isinstance(s, np.ndarray) else list(s), dtype=np.intp)
                   .reshape(len(s), d + 1) for d, s in enumerate(simplices_by_dim)]
         if any(np.any((s < 0) | (s >= nv)) or np.any(s[:, 1:] <= s[:, :-1]) for s in levels):
             raise ValueError(f"simplices must be increasing vertex ids in 0..{nv - 1}")
-        self.simplex_rows = [_distinct(s) for s in levels]
-        while self.simplex_rows and not len(self.simplex_rows[-1]):
-            self.simplex_rows.pop()
+        # top down, the first level that gains a row names a given simplex
+        for d, gap in reversed(list(enumerate(self._index(levels)[1]))):
+            if gap.size:
+                k = int(gap.min())
+                face, t = self.simplex_tuple(d, self.faces[d + 1].flat[k]), self.simplex_tuple(d + 1, k // (d + 2))
+                raise ValueError(f"face {face} of {t} missing from complex")
+
+    def _index(self, tops):
+        """Set the simplices to the face closure of ``tops[d]`` (sorted (n, d+1)
+        int rows), top down: one ``np.unique`` of level d with the facets of
+        level d+1 gives the level, the face table above, and the two lists
+        returned, ``ids[d]``, the id of each row of ``tops[d]``, and ``gaps[d]``,
+        where among those facets a row not in ``tops[d]`` first appears.
+        """
+        while tops and not len(tops[-1]):
+            tops = tops[:-1]
+        n = len(tops)
+        # simplex_rows[d] is the (n_d, d+1) array of the d-simplices' vertex
+        # ids in lexicographic order; faces[d][i, j] = id of the (d-1)-face of
+        # simplex i with vertex j removed, carrying incidence sign (-1)^j
+        self.simplex_rows, self.faces, ids, gaps = [None] * n, [None] * n, [None] * n, [None] * n
+        for d in range(n - 1, -1, -1):
+            above = _facets(self.simplex_rows[d + 1]).reshape(-1, d + 1) if d + 1 < n else tops[d][:0]
+            rows = np.vstack([tops[d], above])
+            _, first, inverse = np.unique(_lexical(rows), return_index=True, return_inverse=True)
+            self.simplex_rows[d], ids[d] = rows[first], inverse[:len(tops[d])]
+            gaps[d] = first[first >= len(tops[d])] - len(tops[d])
+            if d + 1 < n:
+                self.faces[d + 1] = inverse[len(tops[d]):].reshape(-1, d + 2)
         total = sum(len(s) for s in self.simplex_rows)
         if total > config.MAX_SIMPLICES:
             raise ValueError(f"complex has {total} simplices, above desk-scale limit")
-        # faces[d][i, j] = id of the (d-1)-face of simplex i with vertex j removed,
-        # carrying incidence sign (-1)^j
-        self.faces = [None]
-        for d in range(1, len(self.simplex_rows)):
-            facets = _facets(self.simplex_rows[d]).reshape(-1, d)
-            table, found = _find(self.simplex_rows[d - 1], facets)
-            if not found.all():
-                k = int(np.argmin(found))
-                face, t = tuple(facets[k].tolist()), self.simplex_tuple(d, k // (d + 1))
-                raise ValueError(f"face {face} of {t} missing from complex")
-            self.faces.append(table.reshape(-1, d + 1))
         for rows in self.simplex_rows + self.faces[1:]:
             rows.setflags(write=False)
         # (volumes, longest edges, flat mask, unit blades or None) per dimension
-        self._geometry = [None] * len(self.simplex_rows)
+        self._geometry = [None] * n
         self._boundary_matrices = {}
+        return ids, gaps
 
     @property
     def dim(self) -> int:
@@ -366,7 +375,7 @@ def vertex_rows(tuples, k: int):
     if set(map(type, entries(tuples))) - {int} and not all(map(integral, entries(tuples))):
         raise ValueError("vertex ids must be integers")
     try:
-        rows = np.array(tuples, dtype=np.intp).reshape(len(tuples), k)
+        rows = np.fromiter(entries(tuples), dtype=np.intp, count=len(tuples) * k).reshape(len(tuples), k)
     except OverflowError:
         raise ValueError("vertex ids must be integers below 2**63 in size") from None
     simplices = np.sort(rows, axis=1)
@@ -404,26 +413,20 @@ def build_complex(vertices, top_simplices, ambient_dim=None) -> EmbeddedComplex:
         repeated[np.unique(_lexical(rows), return_index=True)[1]] = False
         if repeated.any():
             raise ValueError(f"duplicate simplex {tuple(rows[np.argmax(repeated)].tolist())}")
-    return _closed_complex(vertices, tops)
+    return _closed_complex(vertices, tops)[0]
 
 
-def _closed_complex(vertices, tops) -> EmbeddedComplex:
+def _closed_complex(vertices, tops):
     """The complex of the valid d-simplices ``tops[d]`` (sorted (n, d+1) int
-    rows) and all their faces; each top must be nondegenerate."""
-    # face closure, top down, one lexicographic deduplication per dimension
-    levels = [_distinct(tops[-1])]
-    for d in range(len(tops) - 2, -1, -1):
-        below = np.vstack([tops[d], _facets(levels[0]).reshape(-1, d + 1)])
-        levels.insert(0, _distinct(below))
+    rows) and their faces, and the given rows' ids; each top must be nondegenerate."""
     # the complex rejects non-finite vertices, which would trip the flatness test
-    K = EmbeddedComplex(vertices, levels)
-    for d in range(1, len(tops)):
-        if len(tops[d]) and K.flat(d).any():
-            # name the first flat top in input order
-            flats = np.flatnonzero(K.flat(d)[_find(K.simplex_rows[d], tops[d])[0]])
-            if flats.size:
-                raise ValueError(f"top simplex {tuple(tops[d][flats[0]].tolist())} is geometrically degenerate")
-    return K
+    K = EmbeddedComplex(vertices, [])
+    ids = K._index(tops)[0]
+    for d in range(1, len(ids)):  # naming the first flat top in input order
+        flats = np.flatnonzero(K.flat(d)[ids[d]]) if len(ids[d]) else ()
+        if len(flats):
+            raise ValueError(f"top simplex {tuple(tops[d][flats[0]].tolist())} is geometrically degenerate")
+    return K, ids
 
 
 def json_list(doc, key, item=object):
@@ -566,10 +569,9 @@ def _assemble_subdivision(K, new_vertices, children):
     ``children[d]`` is (parent ids, child rows): the d-simplices of the
     refinement inside each parent, as sorted vertex rows.
     """
-    refined = _closed_complex(new_vertices, [rows for _, rows in children])
+    refined, ids = _closed_complex(new_vertices, [rows for _, rows in children])
     resolved = []
-    for d, (parents, rows) in enumerate(children):
-        kids = _find(refined.simplex_rows[d], rows)[0]
+    for d, ((parents, _), kids) in enumerate(zip(children, ids)):
         dots = rowdot(K.unit_blades(d)[parents], refined.unit_blades(d)[kids])
         skew = np.flatnonzero(np.abs(np.abs(dots) - 1.0) > 1e-6)
         if skew.size:
@@ -598,7 +600,7 @@ def _barycentric(K: EmbeddedComplex):
 
 def _edge_midpoint(K: EmbeddedComplex, edge):
     edge = np.sort(np.asarray(edge, dtype=np.intp).ravel())
-    if edge.size != 2 or K.dim < 1 or not _find(K.simplex_rows[1], edge[None])[1][0]:
+    if edge.size != 2 or K.dim < 1 or not (K.simplex_rows[1] == edge).all(axis=1).any():
         raise ValueError(f"{tuple(edge.tolist())} is not an edge of the complex")
     a, b = edge.tolist()
     w = K.vertices.shape[0]

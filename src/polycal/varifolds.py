@@ -13,6 +13,7 @@ either path shows up as a cross-check residual.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -85,12 +86,15 @@ def make_varifold(K: EmbeddedComplex, m: int, weighted_simplices) -> PolyhedralV
     A simplex is an id or a vertex tuple in any order.
     """
     pairs = list(weighted_simplices)
-    simplices = [s for s, _ in pairs]
-    weights = real_floats([c for _, c in pairs], "weight")
+    return _varifold(K, m, [s for s, _ in pairs], [c for _, c in pairs])
+
+
+def _varifold(K: EmbeddedComplex, m: int, simplices: list, weights: list) -> PolyhedralVarifold:
+    """``make_varifold`` of the pairs ``zip(simplices, weights)``."""
+    weights = real_floats(weights, "weight")
     if not ((weights >= 0) & (weights < math.inf)).all():
         raise ValueError("varifold weights must be finite and nonnegative")
-    given = np.zeros(len(pairs), dtype=bool)
-    sids = np.zeros(len(pairs), dtype=np.intp)
+    given, sids = np.zeros(len(simplices), dtype=bool), np.zeros(len(simplices), dtype=np.intp)
     tuples = simplices
     # one pass over the types finds whether any simplex is given by its id
     if any(issubclass(t, (int, np.integer)) for t in set(map(type, simplices))):
@@ -238,15 +242,14 @@ def stationarity(
     nf = K.n_simplices(m - 1)
     brows = np.zeros((nf, bchain.group.width))
     brows[bchain.ids] = bchain.coeffs
-    # (weighted simplex, slot) pairs on interior faces, stably sorted by face
+    # (weighted simplex, slot) pairs on interior faces, in (simplex, slot) order
     face = K.faces[m][V.ids].ravel()
     sid, weight = np.repeat(V.ids, m + 1), np.repeat(V.weights, m + 1)
     slot = np.tile(np.arange(m + 1), V.ids.size)
     keep = np.flatnonzero(interior[face])
-    keep = keep[np.argsort(face[keep], kind="stable")]
     face, sid, slot, weight = face[keep], sid[keep], slot[keep], weight[keep]
     nu = _conormals(K.vertices, K.simplex_rows[m][sid], slot, K.longest_edges(m)[sid], tol)
-    # per coordinate, bincount adds each face's terms in order, as add.at did
+    # per coordinate, bincount adds each face's terms in pair order, as the records list them
     residual = np.stack([np.bincount(face, w, minlength=nf) for w in (weight[:, None] * nu).T], axis=1)
     residual_norm = np.linalg.norm(residual, axis=1)
     count = np.bincount(face, minlength=nf)
@@ -261,11 +264,16 @@ def stationarity(
     passed = (residual_norm <= tol * incident) & ~free_edge
     relative = np.divide(residual_norm, incident, out=np.zeros(nf), where=incident > 0)
     fids = np.flatnonzero(interior)
-    bounds = np.searchsorted(face, np.stack([fids, fids + 1], axis=1)).tolist()
+
+    @functools.cache
+    def pairs_by_face():
+        # each interior face's pairs in pair order: a stable sort, cut at every face
+        order = np.argsort(face, kind="stable")
+        return np.split(order, np.searchsorted(face[order], fids[1:]))
 
     def record(k):
-        fid, (lo, hi) = int(fids[k]), bounds[k]
-        incident = zip(sid[lo:hi].tolist(), weight[lo:hi].tolist(), nu[lo:hi])
+        fid, picked = int(fids[k]), pairs_by_face()[k]
+        incident = zip(sid[picked].tolist(), weight[picked].tolist(), nu[picked])
         incident = [(K.simplex_tuple(m, i), c, n) for i, c, n in incident]
         return FaceBalance(fid, K.simplex_tuple(m - 1, fid), residual[fid], float(residual_norm[fid]),
                            incident, float(bnorm[fid]), float(crosscheck[fid]),
@@ -368,7 +376,7 @@ def varifold_from_json(K: EmbeddedComplex, doc: dict) -> PolyhedralVarifold:
     if not set(map(type, simplices)) <= {list, int}:
         bad = next(entry for entry, s in zip(entries, simplices) if type(s) not in (list, int))
         raise ValueError(f"malformed weight entry {bad!r}")
-    return make_varifold(K, m, zip(simplices, [entry["c"] for entry in entries]))
+    return _varifold(K, m, simplices, [entry["c"] for entry in entries])
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ from polycal.complexes import (
     subdivide,
     validate_geometry,
 )
-from polycal.complexes import _distinct, _find
+from polycal import complexes
+from polycal.complexes import _closed_complex, _find, _lexical, vertex_rows
 
 
 def segment_triangle_intersects(p0, p1, tri, tol=1e-12):
@@ -160,7 +161,7 @@ def test_row_keys_match_sorted_tuples(width, top):
         rows = np.vstack([rows, rows[rng.integers(0, n, size=n // 2 + 1)]])
         rows = rows[rng.permutation(len(rows))]
         expected = sorted(set(map(tuple, rows.tolist())))
-        level = _distinct(rows)
+        level = rows[np.unique(_lexical(rows), return_index=True)[1]]
         assert list(map(tuple, level.tolist())) == expected
         # found rows, repeated; rows missing from level; ids beyond its range
         probes = np.vstack([rows, rng.integers(0, top, size=(n, width)),
@@ -184,6 +185,101 @@ def test_direct_construction_with_a_missing_face_raises():
             EmbeddedComplex([[0, 0], [1, 0], [0, 1]], [level])
     with pytest.raises(ValueError, match="increasing vertex ids"):
         EmbeddedComplex([[0, 0], [1, 0], [0, 1]], [[(0,), (1,)], [(1, 0)]])
+
+
+def test_a_missing_face_is_named_with_a_given_simplex():
+    # the very first facet is the missing one
+    with pytest.raises(ValueError, match=r"face \(1,\) of \(0, 1\) missing"):
+        EmbeddedComplex([[0, 0], [1, 0], [0, 1]], [[(0,), (2,)], [(0, 1)]])
+    # faces missing at two levels: the top-most gap is named, by a simplex that was given
+    with pytest.raises(ValueError, match=r"face \(0, 2\) of \(0, 1, 2\) missing"):
+        EmbeddedComplex([[0, 0], [1, 0], [0, 1]], [[(0,), (1,)], [(0, 1), (1, 2)], [(0, 1, 2)]])
+
+
+def shuffled_mixed_tops(rng, n_dim, n_points):
+    """Points and shuffled tops: the Delaunay simplices, some of their facets
+    and edges given again as tops, and a hanging edge and an isolated vertex."""
+    from scipy.spatial import Delaunay
+
+    points = rng.uniform(size=(n_points, n_dim))
+    cells = Delaunay(points).simplices
+    tops = [list(t) for t in cells]
+    for t in cells[rng.choice(len(cells), size=4, replace=False)]:
+        tops += [list(np.delete(t, rng.integers(n_dim + 1))), list(rng.choice(t, size=2, replace=False))]
+    tops = [list(t) for t in {tuple(sorted(t)) for t in tops}]  # build_complex rejects repeats
+    points = np.vstack([points, rng.uniform(size=(2, n_dim)) + 2.0])
+    tops += [[int(cells[0][0]), n_points], [n_points + 1]]
+    tops = [[int(v) for v in rng.permutation(t)] for t in tops]
+    return points, [tops[i] for i in rng.permutation(len(tops))]
+
+
+@pytest.mark.parametrize("n_dim, n_points, seed", [(2, 30, 0), (2, 80, 1), (3, 15, 2), (3, 40, 3)])
+def test_one_sort_per_level_matches_the_python_closure(n_dim, n_points, seed):
+    rng = np.random.default_rng(seed)
+    points, tops = shuffled_mixed_tops(rng, n_dim, n_points)
+    simplices, faces, maximal = reference_complex(tops)
+    K = build_complex(points, tops)
+    assert tuples(K) == simplices
+    assert [K.faces[d].tolist() for d in range(1, K.dim + 1)] == faces
+    assert K.maximal_simplices() == maximal
+    # the ids of the given rows, read from the same sort, in input order
+    rows = [vertex_rows([t for t in tops if len(t) == d + 1], d + 1)[1] for d in range(K.dim + 1)]
+    K, ids = _closed_complex(points, rows)
+    for d, level in enumerate(rows):
+        position = {t: i for i, t in enumerate(simplices[d])}
+        assert ids[d].tolist() == [position[t] for t in map(tuple, level.tolist())]
+    # the closed levels given directly, each shuffled and with repeats, index alike
+    given = [rng.permutation(np.vstack([level, level[:3]])) for level in map(np.array, simplices)]
+    direct = EmbeddedComplex(points, given)
+    assert tuples(direct) == simplices
+    assert [direct.faces[d].tolist() for d in range(1, direct.dim + 1)] == faces
+
+
+@pytest.mark.parametrize("n_dim, n_points", [(2, 25), (3, 12)])
+@pytest.mark.parametrize("rule", ["barycentric", "edge_midpoint"])
+def test_subdivision_kids_are_the_child_rows_ids(monkeypatch, n_dim, n_points, rule):
+    rng = np.random.default_rng(n_dim * 7 + n_points)
+    points, tops = shuffled_mixed_tops(rng, n_dim, n_points)
+    K = build_complex(points, tops)
+    edge = K.simplex_tuple(1, int(rng.integers(K.n_simplices(1))))
+    given = []
+    assemble = complexes._assemble_subdivision
+
+    def recording(K, new_vertices, children):
+        given.append(children)
+        return assemble(K, new_vertices, children)
+
+    monkeypatch.setattr(complexes, "_assemble_subdivision", recording)
+    refined, corr = subdivide(K, rule, edge=edge)
+    for d, ((parents, rows), (kids, parents_out, _)) in enumerate(zip(given[0], corr.children)):
+        pos, found = _find(refined.simplex_rows[d], rows)
+        assert found.all()
+        assert kids.tolist() == pos.tolist()
+        assert parents_out.tolist() == parents.tolist()
+
+
+def test_construction_and_subdivision_look_no_rows_up(monkeypatch):
+    def refuse(level, rows):
+        raise AssertionError("construction looked rows up")
+
+    rng = np.random.default_rng(5)
+    points, tops = shuffled_mixed_tops(rng, 3, 20)
+    monkeypatch.setattr(complexes, "_find", refuse)
+    K = build_complex(points, tops)
+    edge = K.simplex_tuple(1, 0)
+    on_edge = sum(set(edge) <= set(t) for t in tuples(K)[3])
+    for rule, n_tets in (("barycentric", 24 * K.n_simplices(3)), ("edge_midpoint", K.n_simplices(3) + on_edge)):
+        refined, _ = subdivide(K, rule, edge=edge)
+        assert refined.n_simplices(3) == n_tets
+
+
+def test_vertex_ids_beyond_int64_are_refused():
+    for big in (2**63, 2**64, -(2**63) - 1):
+        with pytest.raises(ValueError, match=r"below 2\*\*63"):
+            build_complex([[0, 0], [1, 0], [0, 1]], [(0, 1), (1, big)])
+    # integral floats and numpy integers are ids as before
+    K = build_complex([[0, 0], [1, 0], [0, 1]], [(0.0, np.int64(1), 2)])
+    assert tuples(K)[2] == [(0, 1, 2)]
 
 
 @pytest.mark.parametrize("n_dim, n_points", [(2, 20), (3, 12)])

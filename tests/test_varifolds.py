@@ -480,3 +480,44 @@ def test_varifold_json_round_trip():
     doc = varifold_to_json(V)
     W = varifold_from_json(K, doc)
     assert (W.ids.tolist(), W.weights.tolist()) == (V.ids.tolist(), V.weights.tolist())
+
+
+@pytest.mark.parametrize("n_dim, m, seed", [(2, 1, 0), (2, 2, 1), (3, 2, 2), (3, 3, 3)])
+def test_face_residuals_are_the_stably_sorted_sums_to_the_bit(n_dim, m, seed):
+    from scipy.spatial import Delaunay
+
+    from polycal.complexes import interior_faces
+    from polycal.varifolds import _conormals
+
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(size=(30, n_dim))
+    K = build_complex(points, Delaunay(points).simplices.tolist())
+    ids = np.sort(rng.choice(K.n_simplices(m), size=K.n_simplices(m) * 2 // 3, replace=False))
+    V = PolyhedralVarifold(K, m, ids, 10.0 ** rng.uniform(-2, 2, size=len(ids)))
+    gamma = BoundaryRegion(K, m - 1, frozenset(rng.choice(K.n_simplices(m - 1), size=5, replace=False).tolist()))
+    report = stationarity(V, gamma)
+    assert not report.is_stationary
+    # the reference: the (simplex, slot) pairs stably sorted by face, summed by add.at
+    face = K.faces[m][V.ids].ravel()
+    sid, weight = np.repeat(V.ids, m + 1), np.repeat(V.weights, m + 1)
+    slot = np.tile(np.arange(m + 1), V.ids.size)
+    keep = np.flatnonzero(interior_faces(K, m, gamma)[face])
+    keep = keep[np.argsort(face[keep], kind="stable")]
+    face, sid, slot, weight = face[keep], sid[keep], slot[keep], weight[keep]
+    nu = _conormals(K.vertices, K.simplex_rows[m][sid], slot, K.longest_edges(m)[sid])
+    residual = np.zeros((K.n_simplices(m - 1), n_dim))
+    np.add.at(residual, face, weight[:, None] * nu)
+    norms = np.linalg.norm(residual, axis=1)
+    fids = np.flatnonzero(interior_faces(K, m, gamma))
+    assert [f.face_id for f in report.faces] == fids.tolist()
+    for f in report.faces:
+        assert f.residual.tobytes() == residual[f.face_id].tobytes()
+        assert f.residual_norm == norms[f.face_id]
+        on = face == f.face_id
+        # the incident list, in ascending pair order
+        assert [(s, c) for s, c, _ in f.incident] == [
+            (K.simplex_tuple(m, i), c) for i, c in zip(sid[on].tolist(), weight[on].tolist())]
+        assert sid[on].tolist() == sorted(set(sid[on].tolist()))
+        assert np.array(
+            [n for _, _, n in f.incident]).reshape(-1, n_dim).tobytes() == nu[on].tobytes()
+    assert report.max_residual == norms[fids].max()
