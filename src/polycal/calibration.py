@@ -16,7 +16,7 @@ replay them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .chains import (
 )
 from .complexes import BoundaryRegion, EmbeddedComplex, digest, interior_faces, subdivide
 from .exterior_algebra import rowdot
-from .groups import MultivectorGroup, group_to_json
+from .groups import MultivectorGroup
 from .solver import MinMassProblem, SolverConfig, min_mass_fixed_boundary, flat_norm_solve
 from .varifolds import PolyhedralVarifold, stationarity, varifold_text
 
@@ -110,7 +110,7 @@ class Certificate:
 def _provenance(K: EmbeddedComplex, group, tols: dict, extra: dict) -> dict:
     return {
         "complex_hash": K.content_hash(),
-        "group": group_to_json(group),
+        "group": group.descriptor(),
         "tolerances": tols,
         "version": __version__,
         "competitor_class": COMPETITOR_CLASS,
@@ -186,14 +186,12 @@ def check_stokes(K: EmbeddedComplex, m: int, tol: float = 1e-10) -> StokesReport
     Then Phi(dQ) = <Y, ddQ> = 0 for every (m+1)-chain Q.  The residual is
     max_j ||(M^T Y)_j - vol_j eta_j|| / e_j^m over the m-simplices, e_j the
     longest edge (the scale of ``flat``; a sliver's volume carries more
-    rounding than that), with M^T Y gathered from the faces with signs
-    (-1)^j as ``boundary`` scatters.  Raises when the complex has no
-    m-simplices with faces.
+    rounding than that), and M the solver's ``boundary_matrix``.  Raises when
+    the complex has no m-simplices with faces.
     """
     if not 1 <= m <= K.dim:
         raise ValueError(f"complex has no {m}-simplices with faces")
-    signs = np.where(np.arange(m + 1) % 2, -1.0, 1.0)
-    coboundary = np.einsum("j,ijk->ik", signs, calibration_cochain(K, m)[K.faces[m]])
+    coboundary = K.boundary_matrix(m).T @ calibration_cochain(K, m)
     residuals = np.linalg.norm(coboundary - K.volumes(m)[:, None] * K.unit_blades(m), axis=1)
     residuals /= K.longest_edges(m) ** m
     worst = float(residuals.max(initial=0.0))
@@ -213,17 +211,7 @@ class FlatBoundReport:
     iterations: int = 0
 
     def to_json(self):
-        return {
-            "phi": self.phi,
-            "flat_value": self.flat_value,
-            "mass": self.mass,
-            "passed": self.passed,
-            "solver_status": self.solver_status,
-            "notes": self.notes,
-            "lower_bound": self.lower_bound,
-            "gap": self.gap,
-            "iterations": self.iterations,
-        }
+        return asdict(self)
 
 
 def phi_flat_bound(A: Chain, solver_config: SolverConfig | None = None, tol: float = 1e-8) -> FlatBoundReport:

@@ -26,7 +26,7 @@ from .complexes import (
     vertex_rows,
 )
 from .exterior_algebra import wedge_rows
-from .groups import CoefficientGroup, SubgroupWithNorm, group_from_json, group_to_json
+from .groups import CoefficientGroup, SubgroupWithNorm, group_from_json
 
 
 def permutation_signs(rows) -> np.ndarray:
@@ -245,7 +245,7 @@ def chain_to_json(A: Chain) -> dict:
     simplices = A.complex.simplex_rows[A.dimension][A.ids].tolist()
     return {
         "dimension": A.dimension,
-        "group": group_to_json(A.group),
+        "group": A.group.descriptor(),
         "terms": [
             {"simplex": t, "coeff": A.group.coeff_to_json(g)}
             for t, g in zip(simplices, A.coeffs)

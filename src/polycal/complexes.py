@@ -23,7 +23,6 @@ from .exterior_algebra import (
     DegenerateSimplexError,
     blade_of_points,
     rowdot,
-    volume_of_points,
 )
 
 
@@ -83,12 +82,6 @@ def flat(volumes, edges, m, tol=None) -> np.ndarray:
     are flat.
     """
     return volumes <= config.zero_tol(tol) * edges ** m
-
-
-def degenerate(points, tol=None) -> np.ndarray:
-    """Which of the stacked (..., m+1, N) simplices are ``flat``."""
-    points = np.asarray(points, dtype=float)
-    return flat(volume_of_points(points), longest_edge(points), points.shape[-2] - 1, tol)
 
 
 def json_floats(values) -> np.ndarray:
@@ -359,9 +352,9 @@ def real_floats(values, what: str) -> np.ndarray:
     rows = values if array.ndim == 2 else [values] if array.ndim == 1 else [[values]]
     entries = list(itertools.chain.from_iterable(rows))
     if set(map(type, entries)) - {float, int}:
-        bad = next((x for x in entries if isinstance(x, bool) or not isinstance(x, numbers.Real)), None)
-        if bad is not None:
-            raise ValueError(f"{bad!r} is not a real {what}")
+        bad = [x for x in entries if isinstance(x, bool) or not isinstance(x, numbers.Real)]
+        if bad:  # None among them, which np.array turned into NaN
+            raise ValueError(f"{bad[0]!r} is not a real {what}")
     return array
 
 
@@ -399,12 +392,11 @@ def build_complex(vertices, top_simplices, ambient_dim=None) -> EmbeddedComplex:
             f"vertices have dimension {vertices.shape[1]}, expected {ambient_dim}"
         )
     nv = vertices.shape[0]
-    top_simplices = list(top_simplices)
-    sizes = [len(t) for t in top_simplices]
-    if 0 in sizes:
+    # a stable sort by size groups the simplices, each group in input order
+    by_size = {k: list(group) for k, group in itertools.groupby(sorted(top_simplices, key=len), key=len)}
+    if 0 in by_size:
         raise ValueError("simplex () has no vertices")
-    tops = [vertex_rows([t for t, k in zip(top_simplices, sizes) if k == d + 1], d + 1)[1]
-            for d in range(max(sizes, default=1))]
+    tops = [vertex_rows(by_size.get(d + 1, []), d + 1)[1] for d in range(max(by_size, default=1))]
     for rows in tops:
         out = np.flatnonzero((rows[:, 0] < 0) | (rows[:, -1] >= nv))
         if out.size:
@@ -669,9 +661,12 @@ def pushforward_complex(K: EmbeddedComplex, images, frozen=(), gamma=None, tol=N
         if pairs:
             u, v = sorted(pairs)[0]
             raise ValueError(f"vertex collision: images of {u} and {v} coincide")
-    flats = [degenerate(coords[rows], tol) for rows in K.simplex_rows]
-    new_ids = [np.where(flat, -1, np.cumsum(~flat) - 1) for flat in flats]
-    image = EmbeddedComplex(coords, [rows[ids >= 0] for rows, ids in zip(K.simplex_rows, new_ids)])
+    # the rows are K's, so the image keeps K's ids until a simplex collapses
+    image = EmbeddedComplex(coords, K.simplex_rows)
+    flats = [flat(image.volumes(d), image.longest_edges(d), d, tol) for d in range(image.dim + 1)]
+    new_ids = [np.where(f, -1, np.cumsum(~f) - 1) for f in flats]
+    if any(f.any() for f in flats):
+        image = EmbeddedComplex(coords, [rows[ids >= 0] for rows, ids in zip(K.simplex_rows, new_ids)])
     image_gamma = None
     if gamma is not None:
         moved = new_ids[gamma.face_dim][list(gamma.face_ids)]

@@ -16,12 +16,12 @@ answer when nothing cheaper turns up.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import config
-from .complexes import integral, real_floats
+from .complexes import integral, json_integer, json_list, real_floats
 
 
 def _int_row(raw, width: int) -> np.ndarray:
@@ -175,9 +175,12 @@ class SubgroupWithNorm(CoefficientGroup):
         self.width = len(self.generators)
         if generator_norms is None:
             generator_norms = ambient.norms(self.generators)
-        self.generator_norms = [float(x) for x in generator_norms]
-        if len(self.generator_norms) != self.width:
+        norms = real_floats(generator_norms, "generator norm")
+        if norms.shape != (self.width,):
             raise ValueError("generator_norms length must match generators")
+        if not ((norms >= 0) & (norms < math.inf)).all():
+            raise ValueError("generator norms must be finite and nonnegative")
+        self.generator_norms = norms.tolist()
         if all(x <= config.ZERO_TOL for x in self.generator_norms):
             raise ValueError("all generator norms vanish; subgroup norm is ill-posed")
         # search order: descending norm prunes earliest
@@ -338,7 +341,7 @@ class AxiomReport:
     violations: list
 
     def to_json(self):
-        return {"passed": self.passed, "violations": self.violations}
+        return asdict(self)
 
 
 def verify_group_axioms(G: CoefficientGroup, samples, tol=1e-9) -> AxiomReport:
@@ -363,23 +366,23 @@ def verify_group_axioms(G: CoefficientGroup, samples, tol=1e-9) -> AxiomReport:
 
 
 def group_from_json(desc: dict) -> CoefficientGroup:
+    if not isinstance(desc, dict):
+        raise ValueError("a group descriptor must be a JSON object")
     kind = desc.get("kind")
     if kind == "real":
         return RealGroup()
     if kind == "integer":
         return IntegerGroup()
     if kind == "multivector":
-        return MultivectorGroup(desc["ambient_dim"], desc["grade"])
+        return MultivectorGroup(json_integer(desc, "ambient_dim"), json_integer(desc, "grade"))
     if kind == "subgroup":
-        gens = desc["generators"]
+        gens = json_list(desc, "generators")
         ambient_kind = desc.get("ambient_kind")
         if ambient_kind is None:
             # infer: vector-valued generators live in a multivector group
             ambient_kind = "multivector" if gens and isinstance(gens[0], (list, tuple)) else "real"
+        if ambient_kind == "subgroup":
+            raise ValueError("nesting subgroups is not supported")
         ambient = group_from_json(dict(desc, kind=ambient_kind))
         return SubgroupWithNorm(ambient, gens, desc.get("generator_norms"))
     raise ValueError(f"unknown group kind {kind!r}")
-
-
-def group_to_json(G: CoefficientGroup) -> dict:
-    return G.descriptor()

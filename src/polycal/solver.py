@@ -150,15 +150,6 @@ def _least_squares(M, rhs):
     return np.column_stack([lsmr(M, col, atol=1e-13, btol=1e-13, maxiter=cap)[0] for col in rhs.T])
 
 
-def _calibration_dual(K: EmbeddedComplex, m: int):
-    """-Y for the closed-form Y of M^T Y = vol * eta over the m-simplices.
-
-    This is an optimal dual whenever the target bounds a calibrated chain;
-    for any other target it is only a starting point.
-    """
-    return -calibration_cochain(K, m)
-
-
 def _solve_blockwise(M, weights, target, cfg: SolverConfig, warm=None, dual=None):
     """Relaxed primal-dual iteration for min sum w_j ||x_j|| s.t. M x = c.
 
@@ -223,7 +214,9 @@ def min_mass_fixed_boundary(problem: MinMassProblem) -> SolveResult:
             status="infeasible",
             config=cfg,
         )
-    dual = _calibration_dual(K, m) if group == MultivectorGroup(K.ambient_dim, m) else None
+    # -Y for the closed-form Y of M^T Y = vol * eta: an optimal dual whenever
+    # the target bounds a calibrated chain, only a start for any other target
+    dual = -calibration_cochain(K, m) if group == MultivectorGroup(K.ambient_dim, m) else None
     X, info = _solve_blockwise(M, weights, target, cfg, warm=warm, dual=dual)
     # the iterate is feasible only within primal_tol: report its projection onto M X = c
     X += _least_squares(M, target - M @ X)
@@ -254,17 +247,6 @@ class FlatNormResult:
     status: str
     lower_bound: float
     used_zero_filling: bool = False
-
-    def to_json(self):
-        return {
-            "value": self.value,
-            "lower_bound": self.lower_bound,
-            "iterations": self.iterations,
-            "status": self.status,
-            "used_zero_filling": self.used_zero_filling,
-            "filling": chain_to_json(self.filling),
-            "remainder": chain_to_json(self.remainder),
-        }
 
 
 def flat_norm_solve(A: Chain, config: SolverConfig | None = None) -> FlatNormResult:

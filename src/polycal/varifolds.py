@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -83,7 +83,7 @@ class PolyhedralVarifold:
 def make_varifold(K: EmbeddedComplex, m: int, weighted_simplices) -> PolyhedralVarifold:
     """Canonicalize (simplex, weight) pairs: sum duplicates, drop zeros.
 
-    A simplex is an id or a vertex tuple in any order.
+    A simplex is a vertex tuple in any order.
     """
     pairs = list(weighted_simplices)
     return _varifold(K, m, [s for s, _ in pairs], [c for _, c in pairs])
@@ -94,18 +94,7 @@ def _varifold(K: EmbeddedComplex, m: int, simplices: list, weights: list) -> Pol
     weights = real_floats(weights, "weight")
     if not ((weights >= 0) & (weights < math.inf)).all():
         raise ValueError("varifold weights must be finite and nonnegative")
-    given, sids = np.zeros(len(simplices), dtype=bool), np.zeros(len(simplices), dtype=np.intp)
-    tuples = simplices
-    # one pass over the types finds whether any simplex is given by its id
-    if any(issubclass(t, (int, np.integer)) for t in set(map(type, simplices))):
-        given[:] = [isinstance(s, (int, np.integer)) for s in simplices]
-        ids = [s for s, g in zip(simplices, given.tolist()) if g]
-        out = next((s for s in ids if not 0 <= s < K.n_simplices(m)), None)
-        if out is not None:
-            raise ValueError(f"simplex id {out} out of range")
-        sids[given] = ids
-        tuples = [s for s, g in zip(simplices, given.tolist()) if not g]
-    sids[~given] = K.simplex_ids(vertex_rows(tuples, m + 1)[1])
+    sids = K.simplex_ids(vertex_rows(simplices, m + 1)[1])
     summed = np.bincount(sids, weights, minlength=K.n_simplices(m))
     ids = np.flatnonzero(summed)
     return PolyhedralVarifold(K, m, ids, summed[ids])
@@ -372,9 +361,9 @@ def varifold_from_json(K: EmbeddedComplex, doc: dict) -> PolyhedralVarifold:
     m = json_integer(doc, "dimension")
     entries = json_list(doc, "weights", dict)
     simplices = [entry["simplex"] for entry in entries]
-    # one pass over the types: a simplex is a list or an id, and not a bool
-    if not set(map(type, simplices)) <= {list, int}:
-        bad = next(entry for entry, s in zip(entries, simplices) if type(s) not in (list, int))
+    # one pass over the types: a simplex is a list of vertex ids
+    if not set(map(type, simplices)) <= {list}:
+        bad = next(entry for entry, s in zip(entries, simplices) if type(s) is not list)
         raise ValueError(f"malformed weight entry {bad!r}")
     return _varifold(K, m, simplices, [entry["c"] for entry in entries])
 
@@ -396,18 +385,9 @@ class DeformReport:
     passed: bool
 
     def to_json(self):
-        return {
-            "trials": self.trials,
-            "accepted": self.accepted,
-            "rejected": self.rejected,
-            "min_ratio": self.min_ratio,
-            "max_ratio": self.max_ratio,
-            "mean_ratio": self.mean_ratio,
-            "mass_original": self.mass_original,
-            "magnitude": self.magnitude,
-            "seed": self.seed,
-            "pass": self.passed,
-        }
+        doc = asdict(self)
+        doc["pass"] = doc.pop("passed")  # named "pass" in JSON, still the last key
+        return doc
 
 
 def deform_experiment(V, gamma, trials: int, magnitude: float, seed: int = 0, tol=None) -> DeformReport:

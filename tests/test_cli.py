@@ -283,6 +283,10 @@ SEGMENTS = [[0, 1], [0, 2]]
             {"vertices": TRIANGLE_VERTICES, "simplices": SEGMENTS},
             {"dimension": 1, "weights": [{"simplex": [0, 1], "c": 10**400}]},
         ),
+        (
+            {"vertices": TRIANGLE_VERTICES, "simplices": SEGMENTS},
+            {"dimension": 1, "weights": [{"simplex": 0, "c": 1.0}]},
+        ),
     ],
 )
 def test_malformed_document_is_exit_two(tmp_path, capsys, complex_doc, varifold_doc):
@@ -345,6 +349,61 @@ def test_malformed_coefficient_is_exit_two(tmp_path, capsys, group, coeff):
     chpath = write(tmp_path, "chain.json", {"dimension": 1, "group": group,
                                             "terms": [{"simplex": [0, 1], "coeff": coeff}]})
     assert main(["flatnorm", "--in", cpath, "--in", chpath]) == 2
+    assert "polycal: error" in capsys.readouterr().err
+
+
+# group descriptors the parser must refuse: not an object, a dimension or a
+# grade that is not an integer (no bool, fraction or numeric string)
+MALFORMED_GROUPS = {
+    "true": True,
+    "null": None,
+    "string": "x",
+    "number": 5,
+    "list": [1],
+    "ambient-null": dict(LAMBDA_1_R2, ambient_dim=None),
+    "ambient-list": dict(LAMBDA_1_R2, ambient_dim=[2]),
+    "grade-object": dict(LAMBDA_1_R2, grade={}),
+    "ambient-inf": dict(LAMBDA_1_R2, ambient_dim=float("inf")),
+    "ambient-fraction": dict(LAMBDA_1_R2, ambient_dim=2.5),
+    "ambient-string": dict(LAMBDA_1_R2, ambient_dim="2"),
+    "grade-string": dict(LAMBDA_1_R2, grade="1"),
+}
+
+
+@pytest.mark.parametrize("group", MALFORMED_GROUPS.values(), ids=MALFORMED_GROUPS.keys())
+def test_malformed_group_descriptor_is_exit_two(tmp_path, capsys, group):
+    cpath = write(tmp_path, "complex.json", {"vertices": TRIANGLE_VERTICES, "simplices": SEGMENTS})
+    chpath = write(tmp_path, "chain.json", {"dimension": 1, "group": group,
+                                            "terms": [{"simplex": [0, 1], "coeff": [1.0, 0.0]}]})
+    assert main(["flatnorm", "--in", cpath, "--in", chpath]) == 2
+    assert "polycal: error" in capsys.readouterr().err
+
+
+def test_a_bool_ambient_dimension_is_exit_two(tmp_path, capsys):
+    # True would pass for 1, which fits this 1-D complex
+    cpath = write(tmp_path, "complex.json", {"vertices": [0, 1, 2], "simplices": [[0, 1], [1, 2]]})
+    chpath = write(tmp_path, "chain.json", {"dimension": 1, "group": dict(LAMBDA_1_R2, ambient_dim=True),
+                                            "terms": [{"simplex": [0, 1], "coeff": [1.0]}]})
+    assert main(["flatnorm", "--in", cpath, "--in", chpath]) == 2
+    assert "polycal: error" in capsys.readouterr().err
+
+
+MALFORMED_SUBGROUPS = {
+    "generators-true": dict(SUBGROUP_23, generators=True),
+    "generators-null": dict(SUBGROUP_23, generators=None),
+    "generators-number": dict(SUBGROUP_23, generators=5),
+    "negative-norm": dict(SUBGROUP_23, generator_norms=[-1.0, 3.0]),
+    "null-norm": dict(SUBGROUP_23, generator_norms=[None, 3.0]),
+    "string-norm": dict(SUBGROUP_23, generator_norms=["1", 3.0]),
+    "number-norms": dict(SUBGROUP_23, generator_norms=5),
+    "nested": dict(SUBGROUP_23, ambient_kind="subgroup"),
+}
+
+
+@pytest.mark.parametrize("group", MALFORMED_SUBGROUPS.values(), ids=MALFORMED_SUBGROUPS.keys())
+def test_malformed_subgroup_descriptor_is_exit_two(tmp_path, capsys, group):
+    gpath = write(tmp_path, "group.json", group)
+    assert main(["groupnorm", "--in", gpath, "--coords=1,1"]) == 2
     assert "polycal: error" in capsys.readouterr().err
 
 

@@ -11,7 +11,6 @@ from polycal.groups import (
     RealGroup,
     SubgroupWithNorm,
     group_from_json,
-    group_to_json,
     integrality_check,
     norm_ball,
     subgroup_norm,
@@ -302,7 +301,7 @@ def test_group_json_round_trip():
             [np.array([1.0, 0.0]), np.array([0.0, 1.0])],
         ),
     ]:
-        desc = group_to_json(G)
+        desc = G.descriptor()
         G2 = group_from_json(desc)
         assert G2 == G
 

@@ -37,12 +37,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polycal.calibration import minimality_certificate, phi
-from polycal.chains import boundary, chain_from_json, chain_to_json, mass, transport_chain
+from polycal.chains import (
+    boundary,
+    calibration_cochain,
+    chain_from_json,
+    chain_to_json,
+    mass,
+    transport_chain,
+)
 from polycal.complexes import EmbeddedComplex, complex_from_json, subdivide
 from polycal.solver import (
     MinMassProblem,
     SolverConfig,
-    _calibration_dual,
     _dual_bound,
     min_mass_fixed_boundary,
 )
@@ -216,7 +222,7 @@ def test_the_dual_start_never_lifts_the_bound_above_the_mass(case, seed):
     target = np.zeros((K.n_simplices(m - 1), A.group.width))
     target[dA.ids] = dA.coeffs
     MT = K.boundary_matrix(m).T.tocsr()
-    start = _calibration_dual(K, m)
+    start = -calibration_cochain(K, m)
     flipped = start.copy()
     flipped[rng.permutation(len(start))[: len(start) // 2]] *= -1
     for Y in (start, flipped):

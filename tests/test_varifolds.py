@@ -432,6 +432,28 @@ def test_pushforward_identity_keeps_mass():
     assert pushforward_varifold(empty, K.vertices).varifold.ids.size == 0
 
 
+def test_the_pushforward_computes_each_blade_once(monkeypatch):
+    import polycal.complexes
+    import polycal.exterior_algebra
+
+    K, V, gamma = generate_example("tetrahedral_cone", refinement=1)
+    rng = np.random.default_rng(5)
+    images = K.vertices.copy()
+    images[0] += 0.01 * rng.standard_normal(3)  # moves the cone point, collapses nothing
+    base = V.mass()
+    calls = []
+    for module in (polycal.complexes, polycal.exterior_algebra):
+        kernel = module.blade_of_points
+        monkeypatch.setattr(module, "blade_of_points",
+                            lambda points, kernel=kernel: calls.append(points.shape) or kernel(points))
+    res = pushforward_varifold(V, images, gamma=gamma)
+    assert res.dropped.size == 0
+    assert len(calls) == K.dim + 1  # one pass per dimension of the image
+    calls.clear()
+    assert res.varifold.mass() > base
+    assert calls == []  # the pushed varifold reads the image's cached volumes
+
+
 def test_moving_steiner_point_increases_mass():
     K, V, gamma = generate_example("y_line")
     images = K.vertices.copy()
